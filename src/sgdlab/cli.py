@@ -1,7 +1,8 @@
 """Command-line front end: run, verify, sweep, list.
 
-Exit codes: 0 = success / all checks PASS, 1 = a verification check FAILed,
-2 = usage or configuration error.
+Exit codes: 0 = success / all checks PASS, 1 = a verification check FAILed
+or a trajectory diverged (non-finite iterate), 2 = usage or configuration
+error.  Errors are reported as one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from . import __version__
 from .config import ConfigError, manifest_text, parse_config, stats_csv_text
 from .estimator import CERTIFICATE_FORMULAS, ESTIMATORS
 from .harness import (
+    TrajectoryError,
     run_monte_carlo,
     tail_mean,
     verify_assumption,
     verify_bound,
     verify_compressor,
 )
-from .problem import ProblemError
 from .theory import StepsizeError
 
 
@@ -177,9 +178,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, ProblemError, StepsizeError) as exc:
+    except TrajectoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

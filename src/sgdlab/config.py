@@ -79,28 +79,16 @@ class _Section:
         except ValueError:
             raise ConfigError(f"[{self.name}] {key} must be an integer, got {v!r}") from None
 
-    def get_float(self, key: str, default=None) -> float:
+    def get_float(self, key: str, default=None, auto: bool = False) -> float | str:
+        """A number; with auto=True the literal 'auto' is returned as is."""
         v = self._raw(key, default)
-        if isinstance(v, (int, float)):
-            return float(v)
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be a number, got {v!r}") from None
-
-    def get_auto(self, key: str, default="auto") -> float | str:
-        v = self._raw(key, default)
-        if isinstance(v, str) and v.strip() == "auto":
+        if auto and isinstance(v, str) and v.strip() == "auto":
             return "auto"
-        return self.get_float_value(key, v)
-
-    def get_float_value(self, key: str, v) -> float:
-        if isinstance(v, (int, float)):
-            return float(v)
         try:
             return float(v)
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be a number or 'auto', got {v!r}") from None
+            expected = "a number or 'auto'" if auto else "a number"
+            raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}") from None
 
     def get_json(self, key: str, default=None):
         v = self._raw(key, default)
@@ -178,7 +166,7 @@ def build_estimator(section: _Section) -> Estimator:
         elif kind == "cdgd":
             est = CDGD(compressor=_build_compressor(section))
         elif kind == "diana":
-            alpha = section.get_auto("alpha", "auto")
+            alpha = section.get_float("alpha", "auto", auto=True)
             est = DIANA(
                 compressor=_build_compressor(section),
                 alpha=None if alpha == "auto" else alpha,
@@ -223,8 +211,8 @@ def parse_config_text(text: str) -> LoadedConfig:
     experiment = ExperimentConfig(
         problem=problem,
         estimator=estimator,
-        gamma=run.get_auto("gamma", "auto"),
-        lyapunov_m=run.get_auto("lyapunov_m", "auto"),
+        gamma=run.get_float("gamma", "auto", auto=True),
+        lyapunov_m=run.get_float("lyapunov_m", "auto", auto=True),
         steps=run.get_int("steps", 1000),
         trials=run.get_int("trials", 1),
         base_seed=run.get_int("seed", 0),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .compressor import Compressor, Identity, UnsupportedSizeError
-from .problem import FiniteSumProblem, ProblemConstants, QuadraticSum
+from .problem import FiniteSumProblem, ProblemConstants
 
 
 @dataclass(frozen=True)
@@ -73,30 +73,24 @@ def rsgc_certificate(rho_growth: float, L: float, sigma_sq: float) -> Certificat
 class EstimatorState:
     """Mutable per-trajectory estimator state.
 
-    w / grad_w / full_grad_w belong to LSVRG (reference point and cached
-    gradients there); h holds the DIANA shift vectors.  sigma_sq always equals
-    the tracker value recomputed from the state fields.
+    Shifted methods keep one shift per component: shifts[i] is grad f_i(w) at
+    the LSVRG reference point w, or the learned DIANA shift h_i.  shift_mean
+    is the mean of the shifts where the method reads it (LSVRG's grad f(w)),
+    else None; stateless methods leave both None.  sigma_sq always equals the
+    shift quality (1/n) sum_i ||shifts[i] - grad f_i(x*)||^2.
     """
 
     sigma_sq: float = 0.0
-    w: np.ndarray | None = None
-    grad_w: np.ndarray | None = None
-    full_grad_w: np.ndarray | None = None
-    h: np.ndarray | None = None
+    shifts: np.ndarray | None = None
+    shift_mean: np.ndarray | None = None
 
     def copy(self) -> "EstimatorState":
         cp = lambda a: None if a is None else a.copy()
-        return EstimatorState(
-            sigma_sq=self.sigma_sq,
-            w=cp(self.w),
-            grad_w=cp(self.grad_w),
-            full_grad_w=cp(self.full_grad_w),
-            h=cp(self.h),
-        )
+        return EstimatorState(self.sigma_sq, cp(self.shifts), cp(self.shift_mean))
 
 
-def _shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float:
-    # (1/n) sum_i ||shift_i - grad f_i(x*)||^2
+def shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float:
+    """(1/n) sum_i ||shifts[i] - grad f_i(x*)||^2, the sigma_k^2 of a shift table."""
     diff = shifts - constants.grads_at_star
     return float(np.mean(np.sum(diff**2, axis=1)))
 
@@ -105,7 +99,6 @@ class Estimator:
     """Base class; subclasses implement one sampling rule each."""
 
     name: str = "base"
-    has_sigma: bool = False
 
     def init_state(
         self, problem: FiniteSumProblem, constants: ProblemConstants, x0: np.ndarray
@@ -270,29 +263,28 @@ class LSVRG(Estimator):
 
     p: float = 0.1
     name: str = field(default="lsvrg", init=False)
-    has_sigma: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.p <= 1:
             raise ValueError(f"refresh probability p must be in (0, 1], got {self.p}")
 
     def init_state(self, problem, constants, x0):
-        grad_w = problem.component_grads(x0)
-        return EstimatorState(
-            sigma_sq=_shift_quality(grad_w, constants),
-            w=np.array(x0, dtype=float, copy=True),
-            grad_w=grad_w,
-            full_grad_w=problem.eval_full_grad(x0),
-        )
+        state = EstimatorState()
+        self._refresh(problem, constants, state, x0)
+        return state
+
+    @staticmethod
+    def _refresh(problem, constants, state, w):
+        # re-anchor the shift table at the reference point w
+        state.shifts = problem.component_grads(w)
+        state.shift_mean = problem.eval_full_grad(w)
+        state.sigma_sq = shift_quality(state.shifts, constants)
 
     def sample(self, problem, constants, state, x, rng):
         i = int(rng.integers(problem.n))
-        g = problem.eval_grad_i(i, x) - state.grad_w[i] + state.full_grad_w
+        g = problem.eval_grad_i(i, x) - state.shifts[i] + state.shift_mean
         if rng.random() < self.p:
-            state.w = np.array(x, dtype=float, copy=True)
-            state.grad_w = problem.component_grads(state.w)
-            state.full_grad_w = problem.eval_full_grad(state.w)
-            state.sigma_sq = _shift_quality(state.grad_w, constants)
+            self._refresh(problem, constants, state, x)
         return g, state
 
     def certificate(self, problem, constants):
@@ -307,16 +299,16 @@ class LSVRG(Estimator):
         )
 
     def exact_mean(self, problem, constants, state, x):
-        rows = problem.component_grads(x) - state.grad_w + state.full_grad_w
+        rows = problem.component_grads(x) - state.shifts + state.shift_mean
         return rows.sum(axis=0) / problem.n
 
     def exact_second_moment(self, problem, constants, state, x):
-        rows = problem.component_grads(x) - state.grad_w + state.full_grad_w
+        rows = problem.component_grads(x) - state.shifts + state.shift_mean
         return float(np.mean(np.sum(rows**2, axis=1)))
 
     def exact_sigma_next(self, problem, constants, state, x):
         # two-branch expectation over the refresh coin
-        sigma_at_x = _shift_quality(problem.component_grads(x), constants)
+        sigma_at_x = shift_quality(problem.component_grads(x), constants)
         return (1.0 - self.p) * state.sigma_sq + self.p * sigma_at_x
 
     def describe(self) -> str:
@@ -383,7 +375,6 @@ class DIANA(Estimator):
     compressor: Compressor = field(default_factory=Identity)
     alpha: float | None = None
     name: str = field(default="diana", init=False)
-    has_sigma: bool = field(default=True, init=False)
 
     def resolved_alpha(self, d: int) -> float:
         omega = self.compressor.omega(d)
@@ -394,15 +385,15 @@ class DIANA(Estimator):
 
     def init_state(self, problem, constants, x0):
         h = np.zeros((problem.n, problem.d))
-        return EstimatorState(sigma_sq=_shift_quality(h, constants), h=h)
+        return EstimatorState(sigma_sq=shift_quality(h, constants), shifts=h)
 
     def sample(self, problem, constants, state, x, rng):
         alpha = self.resolved_alpha(problem.d)
         grads = problem.component_grads(x)
-        delta = self.compressor.compress_batch(grads - state.h, rng)
-        g = (state.h + delta).sum(axis=0) / problem.n
-        state.h += alpha * delta
-        state.sigma_sq = _shift_quality(state.h, constants)
+        delta = self.compressor.compress_batch(grads - state.shifts, rng)
+        g = (state.shifts + delta).sum(axis=0) / problem.n
+        state.shifts += alpha * delta
+        state.sigma_sq = shift_quality(state.shifts, constants)
         return g, state
 
     def certificate(self, problem, constants):
@@ -421,15 +412,15 @@ class DIANA(Estimator):
     def exact_mean(self, problem, constants, state, x):
         grads = problem.component_grads(x)
         try:
-            means = [self.compressor.exact_moments(v)[0] for v in grads - state.h]
+            means = [self.compressor.exact_moments(v)[0] for v in grads - state.shifts]
         except UnsupportedSizeError:
             return None
-        return (state.h + np.asarray(means)).sum(axis=0) / problem.n
+        return (state.shifts + np.asarray(means)).sum(axis=0) / problem.n
 
     def exact_second_moment(self, problem, constants, state, x):
         grads = problem.component_grads(x)
         try:
-            mse = [self.compressor.exact_moments(v)[1] for v in grads - state.h]
+            mse = [self.compressor.exact_moments(v)[1] for v in grads - state.shifts]
         except UnsupportedSizeError:
             return None
         full = grads.sum(axis=0) / problem.n
@@ -437,8 +428,8 @@ class DIANA(Estimator):
 
     def exact_sigma_next(self, problem, constants, state, x):
         alpha = self.resolved_alpha(problem.d)
-        u = problem.component_grads(x) - state.h
-        e = state.h - constants.grads_at_star
+        u = problem.component_grads(x) - state.shifts
+        e = state.shifts - constants.grads_at_star
         try:
             mse = np.array([self.compressor.exact_moments(v)[1] for v in u])
         except UnsupportedSizeError:
@@ -465,10 +456,7 @@ class RCD(Estimator):
     def sample(self, problem, constants, state, x, rng):
         i = int(rng.integers(problem.d))
         g = np.zeros(problem.d)
-        if isinstance(problem, QuadraticSum):
-            g[i] = problem.d * problem.full_grad_coord(i, x)
-        else:
-            g[i] = problem.d * problem.eval_full_grad(x)[i]
+        g[i] = problem.d * problem.full_grad_coord(i, x)
         return g, state
 
     def certificate(self, problem, constants):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import Certificate, Estimator, EstimatorState
+from .estimator import Certificate, Estimator, EstimatorState, shift_quality
 from .problem import FiniteSumProblem, ProblemConstants, compute_constants
 from .theory import BoundCurve, bound_curve, default_M, max_stepsize
 
@@ -113,9 +113,11 @@ class ExperimentConfig:
             u = raw / np.linalg.norm(raw)
         x0 = constants.x_star + self.x0_radius * u
 
-        state0 = self.estimator.init_state(self.problem, constants, x0)
-        diff0 = x0 - constants.x_star
-        V0 = float(diff0 @ diff0) + M * gamma**2 * state0.sigma_sq
+        # a start whose distance overflows is reported by the run as a TrajectoryError
+        with np.errstate(over="ignore", invalid="ignore"):
+            state0 = self.estimator.init_state(self.problem, constants, x0)
+            diff0 = x0 - constants.x_star
+            V0 = float(diff0 @ diff0) + M * gamma**2 * state0.sigma_sq
         curve = bound_curve(cert, constants.mu, gamma, M, V0)
 
         stride = max(1, self.steps // 1000) if self.record_every == "auto" else int(self.record_every)
@@ -180,18 +182,18 @@ def run_trajectory(resolved: ResolvedExperiment, trial_index: int) -> tuple[np.n
     gamma, x_star = resolved.gamma, resolved.constants.x_star
     rng = np.random.default_rng([resolved.base_seed, TRIAL_STREAM, trial_index])
     x = resolved.x0.copy()
-    state = est.init_state(problem, constants, x)
-
     ks = resolved.record_ks
     dist = np.empty(len(ks))
     sig = np.empty(len(ks))
     ptr = 0
-    if ks[0] == 0:
-        diff = x - x_star
-        dist[0], sig[0] = diff @ diff, state.sigma_sq
-        ptr = 1
     sample = est.sample
+    # overflow is reported as a TrajectoryError at the next recorded iteration
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        state = est.init_state(problem, constants, x)
+        if ks[0] == 0:
+            diff = x - x_star
+            dist[0], sig[0] = diff @ diff, state.sigma_sq
+            ptr = 1
         for k in range(1, resolved.steps + 1):
             g, state = sample(problem, constants, state, x, rng)
             x -= gamma * g
@@ -309,48 +311,43 @@ class Report:
         return f"{status} {self.title} checks={len(self.checks)}{where}"
 
 
-def _mc_second_moment(est, problem, constants, state, x, rng, samples):
-    vals = np.empty(samples)
+def _mc_moments(est, problem, constants, state, x, rng, samples):
+    """Monte-Carlo E||g||^2 and E[sigma_next^2] from one set of draws.
+
+    Returns ((mean, standard error), (mean, standard error)) in that order.
+    """
+    sq = np.empty(samples)
+    sig = np.empty(samples)
     for s in range(samples):
-        g, _ = est.sample(problem, constants, state.copy(), x, rng)
-        vals[s] = g @ g
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+        g, nxt = est.sample(problem, constants, state.copy(), x, rng)
+        sq[s] = g @ g
+        sig[s] = nxt.sigma_sq
+    return tuple((float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples))) for v in (sq, sig))
 
 
-def _mc_sigma_next(est, problem, constants, state, x, rng, samples):
-    vals = np.empty(samples)
-    for s in range(samples):
-        _, nxt = est.sample(problem, constants, state.copy(), x, rng)
-        vals[s] = nxt.sigma_sq
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+def _perturbed_state(constants: ProblemConstants, base: EstimatorState, rng) -> EstimatorState:
+    """Randomly re-anchor the shift table around the optimal shifts grad f_i(x*).
 
-
-def _perturbed_state(est, problem, constants, base: EstimatorState, rng, scale: float):
-    """Randomly re-anchor the estimator state around its ideal shifts."""
+    Mode 0 keeps the base table, mode 1 draws shifts at a log-spread radius,
+    mode 2 scales the base table's offsets by c in [-2, 2].  The mode is drawn
+    even when there is no table, which fixes where the Monte-Carlo draws of
+    stateless estimators start in the point's stream.  Any table is a valid
+    state: sigma_sq and shift_mean are recomputed from it.
+    """
     state = base.copy()
     mode = int(rng.integers(3))
-    if state.w is not None:
-        if mode == 1:
-            radius = 10.0 ** rng.uniform(-3, 1) * scale
-            u = rng.standard_normal(problem.d)
-            state.w = constants.x_star + radius * u / np.linalg.norm(u)
-        elif mode == 2:
-            c = rng.uniform(-2.0, 2.0)
-            state.w = constants.x_star + c * (base.w - constants.x_star)
-        state.grad_w = problem.component_grads(state.w)
-        state.full_grad_w = problem.eval_full_grad(state.w)
-        diff = state.grad_w - constants.grads_at_star
-        state.sigma_sq = float(np.mean(np.sum(diff**2, axis=1)))
-    elif state.h is not None:
-        gscale = max(1.0, math.sqrt(constants.sigma_star_sq))
-        if mode == 1:
-            radius = 10.0 ** rng.uniform(-3, 1) * gscale
-            state.h = constants.grads_at_star + radius * rng.standard_normal(state.h.shape)
-        elif mode == 2:
-            c = rng.uniform(-2.0, 2.0)
-            state.h = constants.grads_at_star + c * (base.h - constants.grads_at_star)
-        diff = state.h - constants.grads_at_star
-        state.sigma_sq = float(np.mean(np.sum(diff**2, axis=1)))
+    if state.shifts is None:
+        return state
+    star = constants.grads_at_star
+    if mode == 1:
+        radius = 10.0 ** rng.uniform(-3, 1) * max(1.0, math.sqrt(constants.sigma_star_sq))
+        state.shifts = star + radius * rng.standard_normal(star.shape)
+    elif mode == 2:
+        c = rng.uniform(-2.0, 2.0)
+        state.shifts = star + c * (base.shifts - star)
+    state.sigma_sq = shift_quality(state.shifts, constants)
+    if state.shift_mean is not None:
+        state.shift_mean = state.shifts.mean(axis=0)
     return state
 
 
@@ -368,10 +365,11 @@ def verify_assumption(
 
     States are drawn from a short warm-up trajectory plus random
     perturbations: iterates at log-spread radii around x*, points along the
-    warm-up line (including reflections), and re-anchored shift states.  The
-    left-hand sides are evaluated exactly where the outcome space enumerates,
-    otherwise by samples_per_point Monte-Carlo draws; exact margins must be
-    >= -1e-10 * RHS, sampled margins >= -4 standard errors.
+    warm-up line (including reflections), and shift tables perturbed around
+    the optimal shifts.  The left-hand sides are evaluated exactly where the
+    outcome space enumerates, otherwise from samples_per_point Monte-Carlo
+    draws that both inequalities share; exact margins must be >= -1e-10 * RHS,
+    sampled margins >= -4 standard errors.
 
     Passing a certificate overrides the estimator's own; this is how mutation
     tests inject corrupted constants.
@@ -409,49 +407,34 @@ def verify_assumption(
         else:
             c = rng.uniform(-2.0, 2.0)
             xp = constants.x_star + c * (xw - constants.x_star) + 1e-3 * radius * udir
-        sp = _perturbed_state(estimator, problem, constants, sw, rng, scale)
+        sp = _perturbed_state(constants, sw, rng)
 
         gap = problem.eval_f(xp) - constants.f_star
-        rhs = 2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1
-        lhs = estimator.exact_second_moment(problem, constants, sp, xp)
-        if lhs is not None:
-            report.checks.append(
-                Check(
-                    name=f"second_moment[{j}]",
-                    margin=rhs - lhs,
-                    tol=EXACT_MARGIN_RTOL * abs(rhs),
-                    exact=True,
-                )
+        # (check name, right-hand side, exact left-hand side or None)
+        sides = [
+            (
+                "second_moment",
+                2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1,
+                estimator.exact_second_moment(problem, constants, sp, xp),
             )
-        else:
-            est_lhs, se = _mc_second_moment(
-                estimator, problem, constants, sp, xp, rng, samples_per_point
-            )
-            report.checks.append(
-                Check(name=f"second_moment[{j}]", margin=rhs - est_lhs, tol=4.0 * se, exact=False)
-            )
-
+        ]
         if cert.has_sigma:
-            rhs2 = (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2
-            lhs2 = estimator.exact_sigma_next(problem, constants, sp, xp)
-            if lhs2 is not None:
-                report.checks.append(
-                    Check(
-                        name=f"sigma_recursion[{j}]",
-                        margin=rhs2 - lhs2,
-                        tol=EXACT_MARGIN_RTOL * abs(rhs2),
-                        exact=True,
-                    )
+            sides.append(
+                (
+                    "sigma_recursion",
+                    (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2,
+                    estimator.exact_sigma_next(problem, constants, sp, xp),
                 )
+            )
+        if any(lhs is None for _, _, lhs in sides):
+            moments = _mc_moments(estimator, problem, constants, sp, xp, rng, samples_per_point)
+        for k, (name, rhs, lhs) in enumerate(sides):
+            if lhs is not None:
+                check = Check(f"{name}[{j}]", rhs - lhs, EXACT_MARGIN_RTOL * abs(rhs), exact=True)
             else:
-                est_lhs2, se2 = _mc_sigma_next(
-                    estimator, problem, constants, sp, xp, rng, samples_per_point
-                )
-                report.checks.append(
-                    Check(
-                        name=f"sigma_recursion[{j}]", margin=rhs2 - est_lhs2, tol=4.0 * se2, exact=False
-                    )
-                )
+                mean, se = moments[k]
+                check = Check(f"{name}[{j}]", rhs - mean, 4.0 * se, exact=False)
+            report.checks.append(check)
     return report
 
 

@@ -52,6 +52,10 @@ class FiniteSumProblem:
         self._check_dim(x)
         return self.component_grads(x).sum(axis=0) / self.n
 
+    def full_grad_coord(self, i: int, x: np.ndarray) -> float:
+        """Single coordinate of the full gradient."""
+        return float(self.eval_full_grad(x)[i])
+
     def component_grads(self, x: np.ndarray) -> np.ndarray:
         """All component gradients stacked into an (n, d) array."""
         raise NotImplementedError
@@ -158,9 +162,6 @@ class LogisticSum(FiniteSumProblem):
         self._check_dim(x)
         coef = -self.labels * _sigmoid(-self._margins(x))
         return (coef[:, None] * self.features).sum(axis=0) / self.n + self.ridge * x
-
-    def full_grad_coord(self, i: int, x: np.ndarray) -> float:
-        return float(self.eval_full_grad(x)[i])
 
     def component_grads(self, x: np.ndarray) -> np.ndarray:
         coef = -self.labels * _sigmoid(-self._margins(x))

@@ -1,5 +1,10 @@
 """CLI subcommands: run, verify, sweep, list; exit codes; CSV/manifest format."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -145,6 +150,23 @@ def test_oversized_gamma_reports_maximum(tmp_path, capsys):
     cfg = write(tmp_path, ISOTROPIC_GD.replace("[run]", "[run]\ngamma = 5.0"))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
     assert "admissible maximum" in capsys.readouterr().err
+
+
+def test_diverging_run_is_a_one_line_error(tmp_path):
+    # a start at radius 1e200 overflows on the first LSVRG step; run the CLI in
+    # its own process so worker-process output is checked too
+    cfg = write(tmp_path, LSVRG_CONF.replace("[run]", "[run]\nx0_radius = 1e200"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgdlab.cli", "run", "--config", cfg, "--out", str(tmp_path), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    # divergence is detected at the first recorded iteration (record_every = 20)
+    assert "iteration 20 in trial 0" in proc.stderr
 
 
 def test_verify_passes_on_sound_config(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Estimator sampling rules, sigma trackers, and certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sgdlab.compressor import Identity, RandK
 from sgdlab.estimator import (
     CDGD,
+    CERTIFICATE_FORMULAS,
     DIANA,
+    ESTIMATORS,
     LSVRG,
     RCD,
     FullGradient,
@@ -106,6 +110,31 @@ def test_growth_condition_presets():
     assert rsgc_certificate(1.5, 2.0, 0.3) == c
 
 
+@pytest.mark.parametrize("est", ALL_KINDS, ids=_ids(ALL_KINDS))
+def test_certificate_formulas_evaluate_to_the_certificate(est):
+    # the formula text `sgdlab list` prints must not drift from certificate()
+    assert sorted(_ids(ALL_KINDS)) == sorted(ESTIMATORS) == sorted(CERTIFICATE_FORMULAS)
+    compressor = getattr(est, "compressor", None)
+    names = {
+        "L": CONSTANTS.L,
+        "L_max": CONSTANTS.L_max,
+        "sigma_star": math.sqrt(CONSTANTS.sigma_star_sq),
+        "zeta_star": math.sqrt(CONSTANTS.zeta_star_sq),
+        "n": PROBLEM.n,
+        "d": PROBLEM.d,
+        "p": getattr(est, "p", None),
+        "sigma": getattr(est, "sigma", None),
+        "omega": None if compressor is None else compressor.omega(PROBLEM.d),
+        "alpha": est.resolved_alpha(PROBLEM.d) if isinstance(est, DIANA) else None,
+    }
+    terms = [term.split("=") for term in CERTIFICATE_FORMULAS[est.name].split(", ")]
+    assert [key for key, _ in terms] == ["A", "B", "C", "D1", "D2", "rho"]
+    cert = est.certificate(PROBLEM, CONSTANTS)
+    for key, formula in terms:
+        value = eval(formula.replace("^", "**"), {"__builtins__": {}}, names)
+        assert value == pytest.approx(getattr(cert, key), rel=1e-12, abs=0.0), (key, formula)
+
+
 # ---------------------------------------------------------------- init_state
 
 
@@ -122,7 +151,7 @@ def test_diana_init_sigma_is_variance_at_solution():
 def test_stateless_kinds_have_zero_sigma():
     for est in (FullGradient(), UniformSGD(), SGDStar(), RCD()):
         st = est.init_state(PROBLEM, CONSTANTS, np.ones(PROBLEM.d))
-        assert st.sigma_sq == 0.0 and st.w is None and st.h is None
+        assert st.sigma_sq == 0.0 and st.shifts is None and st.shift_mean is None
 
 
 # ---------------------------------------------------------------- sampling rules
@@ -153,7 +182,7 @@ def test_diana_identity_alpha_one_telescopes():
     rng = np.random.default_rng(7)
     g, st = est.sample(PROBLEM, CONSTANTS, st, x, rng)
     np.testing.assert_allclose(g, PROBLEM.eval_full_grad(x), rtol=1e-15)
-    np.testing.assert_allclose(st.h, PROBLEM.component_grads(x), rtol=1e-15)
+    np.testing.assert_allclose(st.shifts, PROBLEM.component_grads(x), rtol=1e-15)
 
 
 def test_rcd_two_point_outcome_space():
@@ -181,11 +210,13 @@ def test_lsvrg_randomness_order_index_then_coin():
         x = np.full(PROBLEM.d, float(t + 1))  # distinct iterate each step
         i = int(shadow.integers(PROBLEM.n))
         coin = shadow.random() < est.p
-        w_before = st.w.copy()
-        expected = PROBLEM.eval_grad_i(i, x) - st.grad_w[i] + st.full_grad_w
+        shifts_before, mean_before = st.shifts.copy(), st.shift_mean.copy()
+        expected = PROBLEM.eval_grad_i(i, x) - st.shifts[i] + st.shift_mean
         g, st = est.sample(PROBLEM, CONSTANTS, st, x, rng)
         np.testing.assert_array_equal(g, expected)
-        np.testing.assert_array_equal(st.w, x if coin else w_before)
+        # a refresh re-anchors the shift table at the current iterate
+        np.testing.assert_array_equal(st.shifts, PROBLEM.component_grads(x) if coin else shifts_before)
+        np.testing.assert_array_equal(st.shift_mean, PROBLEM.eval_full_grad(x) if coin else mean_before)
 
 
 # --------------------------------------------------- unbiasedness (exact + MC)
@@ -263,8 +294,8 @@ def test_diana_sigma_recursion_matches_monte_carlo():
     rng = np.random.default_rng(51)
     x = CONSTANTS.x_star + rng.standard_normal(PROBLEM.d)
     st = est.init_state(PROBLEM, CONSTANTS, x)
-    st.h = CONSTANTS.grads_at_star + 0.5 * rng.standard_normal(st.h.shape)
-    st.sigma_sq = float(np.mean(np.sum((st.h - CONSTANTS.grads_at_star) ** 2, axis=1)))
+    st.shifts = CONSTANTS.grads_at_star + 0.5 * rng.standard_normal(st.shifts.shape)
+    st.sigma_sq = float(np.mean(np.sum((st.shifts - CONSTANTS.grads_at_star) ** 2, axis=1)))
     exact = est.exact_sigma_next(PROBLEM, CONSTANTS, st, x)
     samples = 20000
     vals = np.empty(samples)
@@ -286,8 +317,7 @@ def test_sigma_tracker_matches_recomputation(est):
     for _ in range(40):
         g, st = est.sample(PROBLEM, CONSTANTS, st, x, rng)
         x = x - 0.05 * g
-        shifts = st.grad_w if st.h is None else st.h
-        fresh = float(np.mean(np.sum((shifts - CONSTANTS.grads_at_star) ** 2, axis=1)))
+        fresh = float(np.mean(np.sum((st.shifts - CONSTANTS.grads_at_star) ** 2, axis=1)))
         assert st.sigma_sq == pytest.approx(fresh, rel=1e-12, abs=1e-300)
 
 

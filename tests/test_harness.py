@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from sgdlab.compressor import RandK
-from sgdlab.estimator import CDGD, DIANA, LSVRG, FullGradient, SGDStar, UniformSGD
+from sgdlab.compressor import BernoulliScale, RandK
+from sgdlab.estimator import CDGD, DIANA, LSVRG, RCD, FullGradient, SGDStar, UniformSGD
 from sgdlab.harness import (
     ExperimentConfig,
     TrajectoryError,
+    _mc_moments,
+    _perturbed_state,
     run_monte_carlo,
     run_trajectory,
     tail_mean,
@@ -151,6 +153,61 @@ def test_verify_assumption_rejects_corrupted_certificate():
         prob, cons, est, num_points=100, seed=15, certificate=est.certificate(prob, cons).scaled_A(0.5)
     )
     assert not report.passed
+
+
+def _warm_states(est, steps=12, seed=40):
+    """States along a short trajectory, the raw material the verifier perturbs."""
+    rng = np.random.default_rng(seed)
+    x = HET_CONST.x_star + rng.standard_normal(HET.d)
+    state = est.init_state(HET, HET_CONST, x)
+    states = [state.copy()]
+    for _ in range(steps):
+        g, state = est.sample(HET, HET_CONST, state, x, rng)
+        x = x - 0.05 * g
+        states.append(state.copy())
+    return states
+
+
+SHIFTED = [LSVRG(p=0.3), DIANA(compressor=RandK(k=1))]
+
+
+@pytest.mark.parametrize("est", SHIFTED, ids=["lsvrg", "diana"])
+def test_sampled_moments_agree_with_exact_oracles(est):
+    samples = 4000
+    for j, base in enumerate(_warm_states(est)[::2]):
+        rng = np.random.default_rng([42, j])
+        state = _perturbed_state(HET_CONST, base, rng)
+        x = HET_CONST.x_star + rng.standard_normal(HET.d)
+        (m2, se2), (msig, sesig) = _mc_moments(est, HET, HET_CONST, state, x, rng, samples)
+        exact2 = est.exact_second_moment(HET, HET_CONST, state, x)
+        exact_sig = est.exact_sigma_next(HET, HET_CONST, state, x)
+        assert abs(m2 - exact2) <= 4.0 * se2, (j, m2, exact2, se2)
+        assert abs(msig - exact_sig) <= 4.0 * sesig, (j, msig, exact_sig, sesig)
+
+
+def test_sampled_verifier_on_diana_bernoulli():
+    prob = random_quadratic(6, 17, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=43)
+    cons = compute_constants(prob)
+    est = DIANA(compressor=BernoulliScale(q=0.4))  # 2^17 keep-masks: not enumerated
+    report = verify_assumption(prob, cons, est, num_points=4, samples_per_point=2000, seed=44)
+    assert report.passed, "\n".join(report.lines())
+    assert {c.name.split("[")[0] for c in report.checks} == {"second_moment", "sigma_recursion"}
+    assert not any(c.exact for c in report.checks)
+
+
+@pytest.mark.parametrize(
+    "est", SHIFTED + [UniformSGD(), RCD()], ids=["lsvrg", "diana", "sgd", "rcd"]
+)
+def test_perturbed_states_are_consistent_shift_tables(est):
+    for j, base in enumerate(_warm_states(est) * 3):
+        state = _perturbed_state(HET_CONST, base, np.random.default_rng([45, j]))
+        if state.shifts is None:
+            assert state.sigma_sq == 0.0 and state.shift_mean is None
+            continue
+        diff = state.shifts - HET_CONST.grads_at_star
+        assert state.sigma_sq == pytest.approx(np.mean(np.sum(diff**2, axis=1)), rel=1e-12)
+        if state.shift_mean is not None:
+            np.testing.assert_allclose(state.shift_mean, state.shifts.mean(axis=0), rtol=1e-12)
 
 
 def test_variance_reduction_signature():
