@@ -1,8 +1,11 @@
 """Unbiased compression operators with certified variance parameter omega.
 
 Every compressor Q satisfies E[Q(x)] = x and E||Q(x) - x||^2 <= omega ||x||^2.
-exact_moments enumerates the full outcome space and is the independent oracle
-for both properties wherever enumeration is tractable.
+Compression is split in two: draw takes the randomness for a whole array of
+vectors from a generator in a fixed order, and apply compresses each vector
+with its share of it; compress_batch is apply(X, draw(...)).  exact_moments
+enumerates the full outcome space and is the independent oracle for both
+properties wherever enumeration is tractable.
 """
 
 from __future__ import annotations
@@ -30,9 +33,18 @@ class Compressor:
         """Certified variance parameter for dimension d."""
         raise NotImplementedError
 
+    def draw(self, rng: np.random.Generator, shape: tuple[int, ...], d: int) -> np.ndarray:
+        """Randomness for compressing an array of shape `shape + (d,)`, one draw per vector."""
+        raise NotImplementedError
+
+    def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Compress each vector X[..., :] with its entry of draws."""
+        raise NotImplementedError
+
     def compress_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Compress each row of X with an independent draw from rng."""
-        raise NotImplementedError
+        X = np.asarray(X, dtype=float)
+        return self.apply(X, self.draw(rng, X.shape[:-1], X.shape[-1]))
 
     def compress(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Compress a single vector."""
@@ -55,7 +67,10 @@ class Identity(Compressor):
     def omega(self, d: int) -> float:
         return 0.0
 
-    def compress_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, shape: tuple[int, ...], d: int) -> np.ndarray:
+        return np.empty(shape + (0,), dtype=bool)  # nothing to draw
+
+    def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return np.array(X, dtype=float, copy=True)
 
     def exact_moments(self, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -70,7 +85,8 @@ class RandK(Compressor):
     """Keep a uniformly random k-subset of coordinates, rescaled by d/k.
 
     omega = d/k - 1.  The subset is drawn by a k-step Fisher-Yates partial
-    shuffle so that the draw sequence is fixed given the stream.
+    shuffle so that the draw sequence is fixed given the stream: step j draws
+    rng.integers(j, d) for every vector at once.
     """
 
     k: int
@@ -84,21 +100,24 @@ class RandK(Compressor):
         self._check(d)
         return d / self.k - 1.0
 
-    def compress_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        m, d = X.shape
+    def draw(self, rng: np.random.Generator, shape: tuple[int, ...], d: int) -> np.ndarray:
+        """The kept coordinates, shape + (k,)."""
         self._check(d)
-        idx = np.broadcast_to(np.arange(d), (m, d)).copy()
+        m = math.prod(shape)
+        idx = np.tile(np.arange(d), (m, 1))
         rows = np.arange(m)
         for j in range(self.k):
-            r = rng.integers(j, d, size=m)
-            tmp = idx[rows, j].copy()
-            idx[rows, j] = idx[rows, r]
-            idx[rows, r] = tmp
-        keep = idx[:, : self.k]
-        out = np.zeros_like(X)
-        out[rows[:, None], keep] = X[rows[:, None], keep] * (d / self.k)
-        return out
+            r = rng.integers(j, d, size=shape).reshape(m)
+            idx[rows, j], idx[rows, r] = idx[rows, r], idx[rows, j]
+        return idx[:, : self.k].reshape(shape + (self.k,))
+
+    def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        d = X.shape[-1]
+        flat, keep = X.reshape(-1, d), draws.reshape(-1, self.k)
+        rows = np.arange(len(flat))[:, None]
+        out = np.zeros_like(flat)
+        out[rows, keep] = flat[rows, keep] * (d / self.k)
+        return out.reshape(X.shape)
 
     def exact_moments(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         x = np.asarray(x, dtype=float)
@@ -138,10 +157,12 @@ class BernoulliScale(Compressor):
     def omega(self, d: int) -> float:
         return 1.0 / self.q - 1.0
 
-    def compress_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        keep = rng.random(X.shape) < self.q
-        return np.where(keep, X / self.q, 0.0)
+    def draw(self, rng: np.random.Generator, shape: tuple[int, ...], d: int) -> np.ndarray:
+        """The keep mask, shape + (d,)."""
+        return rng.random(shape + (d,)) < self.q
+
+    def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        return np.where(draws, X / self.q, 0.0)
 
     def exact_moments(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         x = np.asarray(x, dtype=float)

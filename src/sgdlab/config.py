@@ -27,7 +27,7 @@ import numpy as np
 
 from .compressor import BernoulliScale, Compressor, Identity, RandK
 from .estimator import CDGD, DIANA, LSVRG, Estimator, ESTIMATORS, NoisyGradient
-from .harness import ExperimentConfig, ResolvedExperiment
+from .harness import STREAM_LAYOUT, ExperimentConfig, ResolvedExperiment
 from .problem import (
     FiniteSumProblem,
     LogisticSum,
@@ -270,7 +270,7 @@ def manifest_text(loaded: LoadedConfig, resolved: ResolvedExperiment, version: s
         "contraction": _fmt(resolved.curve.contraction),
         "floor": _fmt(resolved.curve.floor),
     }
-    out["tool"] = {"name": "sgdlab", "version": version}
+    out["tool"] = {"name": "sgdlab", "version": version, "stream": str(STREAM_LAYOUT)}
 
     import io
 

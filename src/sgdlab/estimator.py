@@ -1,15 +1,31 @@
 """Unbiased gradient estimators, their variance trackers, and parameter certificates.
 
-Each estimator produces g with E[g | x, state] = grad f(x) and carries a
-certificate (A, B, C, D1, D2, rho) such that
+Each estimator is one batched rule g = step(x, state, randomness) with
+E[g | x, state] = grad f(x), and carries a certificate (A, B, C, D1, D2, rho)
+such that
 
     E||g||^2          <= 2A (f(x) - f*) + B sigma_k^2 + D1
     E[sigma_{k+1}^2]  <= (1 - rho) sigma_k^2 + 2C (f(x) - f*) + D2
 
 where sigma_k^2 is the estimator's shift-quality tracker (identically zero for
-estimators without variance reduction).  The exact_* methods evaluate the
-left-hand sides by enumerating the finite outcome space where possible; they
-are the oracles used by the assumption verifier.
+estimators without variance reduction).
+
+draw(problem, rng, m) takes the randomness of m steps of one trajectory (or of
+m replicas of one step) from rng in a fixed order; step(problem, constants, X,
+state, draws) returns the estimates G (R, d) at the R rows of X and advances
+the batched state in place.  Row r of the result depends only on row r of the
+inputs.  Draw order per kind (m entries each, in this order):
+
+    gd                  nothing
+    sgd, sgd_star       rng.integers(n, size=m)
+    lsvrg               rng.integers(n, size=m), then rng.random(m)
+    noisy_gd            rng.standard_normal((m, d))
+    rcd                 rng.integers(d, size=m)
+    cdgd, diana         the compressor's draw for shape (m, n)
+
+The exact_* methods evaluate the left-hand sides for one state by enumerating
+the finite outcome space where possible; they are the oracles used by the
+assumption verifier and never call draw or step.
 """
 
 from __future__ import annotations
@@ -71,16 +87,20 @@ def rsgc_certificate(rho_growth: float, L: float, sigma_sq: float) -> Certificat
 
 @dataclass
 class EstimatorState:
-    """Mutable per-trajectory estimator state.
+    """Estimator state of one trajectory, or of a batch of R trajectories.
 
     Shifted methods keep one shift per component: shifts[i] is grad f_i(w) at
     the LSVRG reference point w, or the learned DIANA shift h_i.  shift_mean
     is the mean of the shifts where the method reads it (LSVRG's grad f(w)),
     else None; stateless methods leave both None.  sigma_sq always equals the
     shift quality (1/n) sum_i ||shifts[i] - grad f_i(x*)||^2.
+
+    One state holds a float sigma_sq, shifts (n, d) and shift_mean (d); a
+    batch holds the same fields with a leading axis of length R.  init_state
+    and the exact oracles use one state, step advances a batch.
     """
 
-    sigma_sq: float = 0.0
+    sigma_sq: float | np.ndarray = 0.0
     shifts: np.ndarray | None = None
     shift_mean: np.ndarray | None = None
 
@@ -88,15 +108,28 @@ class EstimatorState:
         cp = lambda a: None if a is None else a.copy()
         return EstimatorState(self.sigma_sq, cp(self.shifts), cp(self.shift_mean))
 
+    def tile(self, R: int) -> "EstimatorState":
+        """A batch of R copies of this state."""
+        rep = lambda a: None if a is None else np.repeat(a[None], R, axis=0)
+        return EstimatorState(np.full(R, float(self.sigma_sq)), rep(self.shifts), rep(self.shift_mean))
 
-def shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float:
-    """(1/n) sum_i ||shifts[i] - grad f_i(x*)||^2, the sigma_k^2 of a shift table."""
+    def row(self, r: int) -> "EstimatorState":
+        """A copy of state r of this batch."""
+        cp = lambda a: None if a is None else a[r].copy()
+        return EstimatorState(float(self.sigma_sq[r]), cp(self.shifts), cp(self.shift_mean))
+
+
+def shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float | np.ndarray:
+    """(1/n) sum_i ||shifts[i] - grad f_i(x*)||^2, the sigma_k^2 of a shift table.
+
+    shifts is one table (n, d) or a batch of them (R, n, d).
+    """
     diff = shifts - constants.grads_at_star
-    return float(np.mean(np.sum(diff**2, axis=1)))
+    return np.einsum("...ij,...ij->...", diff, diff) / diff.shape[-2]
 
 
 class Estimator:
-    """Base class; subclasses implement one sampling rule each."""
+    """Base class; subclasses implement one batched sampling rule each."""
 
     name: str = "base"
 
@@ -105,15 +138,22 @@ class Estimator:
     ) -> EstimatorState:
         return EstimatorState()
 
-    def sample(
+    def draw(self, problem: FiniteSumProblem, rng: np.random.Generator, m: int) -> tuple[np.ndarray, ...]:
+        """Randomness of m steps, in the documented order; every array has leading axis m."""
+        return ()
+
+    def step(
         self,
         problem: FiniteSumProblem,
         constants: ProblemConstants,
+        X: np.ndarray,
         state: EstimatorState,
-        x: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, EstimatorState]:
-        """Draw g and advance the state in place; returns (g, state)."""
+        draws,
+    ) -> np.ndarray:
+        """Estimates G (R, d) at the rows of X (R, d); advances the batched state in place.
+
+        draws holds one entry per row along the leading axis of each array.
+        """
         raise NotImplementedError
 
     def certificate(self, problem: FiniteSumProblem, constants: ProblemConstants) -> Certificate:
@@ -140,8 +180,8 @@ class FullGradient(Estimator):
 
     name: str = field(default="gd", init=False)
 
-    def sample(self, problem, constants, state, x, rng):
-        return problem.eval_full_grad(x), state
+    def step(self, problem, constants, X, state, draws):
+        return problem.full_grads(X)
 
     def certificate(self, problem, constants):
         return Certificate(A=constants.L, B=0.0, C=0.0, D1=0.0, D2=0.0, rho=1.0, has_sigma=False)
@@ -163,9 +203,12 @@ class UniformSGD(Estimator):
 
     name: str = field(default="sgd", init=False)
 
-    def sample(self, problem, constants, state, x, rng):
-        i = int(rng.integers(problem.n))
-        return problem.eval_grad_i(i, x), state
+    def draw(self, problem, rng, m):
+        return (rng.integers(problem.n, size=m),)
+
+    def step(self, problem, constants, X, state, draws):
+        (i,) = draws
+        return problem.eval_grad_i(i, X)
 
     def certificate(self, problem, constants):
         return Certificate(
@@ -203,9 +246,12 @@ class NoisyGradient(Estimator):
         if self.sigma < 0:
             raise ValueError("noise level sigma must be >= 0")
 
-    def sample(self, problem, constants, state, x, rng):
-        g = problem.eval_full_grad(x) + self.sigma * rng.standard_normal(problem.d)
-        return g, state
+    def draw(self, problem, rng, m):
+        return (rng.standard_normal((m, problem.d)),)
+
+    def step(self, problem, constants, X, state, draws):
+        (z,) = draws
+        return problem.full_grads(X) + self.sigma * z
 
     def certificate(self, problem, constants):
         return Certificate(
@@ -231,9 +277,12 @@ class SGDStar(Estimator):
 
     name: str = field(default="sgd_star", init=False)
 
-    def sample(self, problem, constants, state, x, rng):
-        i = int(rng.integers(problem.n))
-        return problem.eval_grad_i(i, x) - constants.grads_at_star[i], state
+    def draw(self, problem, rng, m):
+        return (rng.integers(problem.n, size=m),)
+
+    def step(self, problem, constants, X, state, draws):
+        (i,) = draws
+        return problem.eval_grad_i(i, X) - constants.grads_at_star[i]
 
     def certificate(self, problem, constants):
         return Certificate(
@@ -257,8 +306,8 @@ class LSVRG(Estimator):
     """Loopless SVRG: g = grad f_i(x) - grad f_i(w) + grad f(w).
 
     The reference point w is refreshed to the current iterate with probability
-    p each step.  Randomness order is fixed: the component index is drawn
-    first, the refresh coin second, both from the same stream.
+    p each step.  A draw of m steps takes the m component indices first and
+    the m refresh coins second, from the same stream.
     """
 
     p: float = 0.1
@@ -269,23 +318,26 @@ class LSVRG(Estimator):
             raise ValueError(f"refresh probability p must be in (0, 1], got {self.p}")
 
     def init_state(self, problem, constants, x0):
-        state = EstimatorState()
-        self._refresh(problem, constants, state, x0)
-        return state
+        return EstimatorState(*self._anchor(problem, constants, x0))
 
     @staticmethod
-    def _refresh(problem, constants, state, w):
-        # re-anchor the shift table at the reference point w
-        state.shifts = problem.component_grads(w)
-        state.shift_mean = problem.eval_full_grad(w)
-        state.sigma_sq = shift_quality(state.shifts, constants)
+    def _anchor(problem, constants, w):
+        # (sigma_sq, shifts, shift_mean) of the shift table anchored at w (one point or a batch)
+        shifts = problem.component_grads(w)
+        return shift_quality(shifts, constants), shifts, problem.full_grads(w)
 
-    def sample(self, problem, constants, state, x, rng):
-        i = int(rng.integers(problem.n))
-        g = problem.eval_grad_i(i, x) - state.shifts[i] + state.shift_mean
-        if rng.random() < self.p:
-            self._refresh(problem, constants, state, x)
-        return g, state
+    def draw(self, problem, rng, m):
+        return rng.integers(problem.n, size=m), rng.random(m)
+
+    def step(self, problem, constants, X, state, draws):
+        i, coin = draws
+        G = problem.eval_grad_i(i, X) - state.shifts[np.arange(len(X)), i] + state.shift_mean
+        hit = np.flatnonzero(coin < self.p)
+        if hit.size:
+            state.sigma_sq[hit], state.shifts[hit], state.shift_mean[hit] = self._anchor(
+                problem, constants, X[hit]
+            )
+        return G
 
     def certificate(self, problem, constants):
         return Certificate(
@@ -326,10 +378,12 @@ class CDGD(Estimator):
     compressor: Compressor = field(default_factory=Identity)
     name: str = field(default="cdgd", init=False)
 
-    def sample(self, problem, constants, state, x, rng):
-        grads = problem.component_grads(x)
-        g = self.compressor.compress_batch(grads, rng).sum(axis=0) / problem.n
-        return g, state
+    def draw(self, problem, rng, m):
+        return (self.compressor.draw(rng, (m, problem.n), problem.d),)
+
+    def step(self, problem, constants, X, state, draws):
+        (q,) = draws
+        return np.einsum("rnd->rd", self.compressor.apply(problem.component_grads(X), q)) / problem.n
 
     def certificate(self, problem, constants):
         omega = self.compressor.omega(problem.d)
@@ -387,14 +441,17 @@ class DIANA(Estimator):
         h = np.zeros((problem.n, problem.d))
         return EstimatorState(sigma_sq=shift_quality(h, constants), shifts=h)
 
-    def sample(self, problem, constants, state, x, rng):
+    def draw(self, problem, rng, m):
+        return (self.compressor.draw(rng, (m, problem.n), problem.d),)
+
+    def step(self, problem, constants, X, state, draws):
+        (q,) = draws
         alpha = self.resolved_alpha(problem.d)
-        grads = problem.component_grads(x)
-        delta = self.compressor.compress_batch(grads - state.shifts, rng)
-        g = (state.shifts + delta).sum(axis=0) / problem.n
+        delta = self.compressor.apply(problem.component_grads(X) - state.shifts, q)
+        G = np.einsum("rnd->rd", state.shifts + delta) / problem.n
         state.shifts += alpha * delta
-        state.sigma_sq = shift_quality(state.shifts, constants)
-        return g, state
+        state.sigma_sq[:] = shift_quality(state.shifts, constants)
+        return G
 
     def certificate(self, problem, constants):
         omega = self.compressor.omega(problem.d)
@@ -453,11 +510,15 @@ class RCD(Estimator):
 
     name: str = field(default="rcd", init=False)
 
-    def sample(self, problem, constants, state, x, rng):
-        i = int(rng.integers(problem.d))
-        g = np.zeros(problem.d)
-        g[i] = problem.d * problem.full_grad_coord(i, x)
-        return g, state
+    def draw(self, problem, rng, m):
+        return (rng.integers(problem.d, size=m),)
+
+    def step(self, problem, constants, X, state, draws):
+        (j,) = draws
+        rows = np.arange(len(X))
+        G = np.zeros_like(X)
+        G[rows, j] = problem.d * problem.full_grads(X)[rows, j]
+        return G
 
     def certificate(self, problem, constants):
         return Certificate(

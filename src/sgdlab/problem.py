@@ -40,35 +40,45 @@ class FiniteSumProblem:
         self._check_dim(x)
         return float(np.mean([self._component_value(i, x) for i in range(self.n)]))
 
-    def eval_grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of the i-th component at x."""
-        if not 0 <= i < self.n:
+    def eval_grad_i(self, i, x: np.ndarray) -> np.ndarray:
+        """Analytic gradient of component i at x.
+
+        i may be an index array and x a batch (..., d): row r is then the
+        gradient of component i[r] at x[r].
+        """
+        i = np.asarray(i)
+        if np.any((i < 0) | (i >= self.n)):
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         self._check_dim(x)
-        return self._component_grad(i, x)
+        return self._grad(i, x)
 
     def eval_full_grad(self, x: np.ndarray) -> np.ndarray:
-        """Exact average of all component gradients (fixed reduction order)."""
+        """Exact average of all component gradients at one point."""
         self._check_dim(x)
-        return self.component_grads(x).sum(axis=0) / self.n
+        return self.full_grads(x)
 
-    def full_grad_coord(self, i: int, x: np.ndarray) -> float:
-        """Single coordinate of the full gradient."""
-        return float(self.eval_full_grad(x)[i])
+    def full_grads(self, X: np.ndarray) -> np.ndarray:
+        """Full gradient at every row of X (..., d), fixed reduction order."""
+        return np.einsum("...nd->...d", self.component_grads(X)) / self.n
 
     def component_grads(self, x: np.ndarray) -> np.ndarray:
-        """All component gradients stacked into an (n, d) array."""
-        raise NotImplementedError
+        """All component gradients: (n, d) at one point, (..., n, d) at a batch (..., d)."""
+        return self._grad(slice(None), np.asarray(x)[..., None, :])
 
     def _component_value(self, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+    def _grad(self, i, x: np.ndarray) -> np.ndarray:
+        """Gradients of components i at x, broadcasting their leading axes.
+
+        Batched contractions use np.einsum: its rows do not depend on how many
+        rows share the call, which keeps trajectories independent of batching.
+        """
         raise NotImplementedError
 
     def _check_dim(self, x: np.ndarray) -> None:
-        if np.shape(x) != (self.d,):
-            raise ValueError(f"expected a vector of dimension {self.d}, got shape {np.shape(x)}")
+        if np.shape(x)[-1:] != (self.d,):
+            raise ValueError(f"expected vectors of dimension {self.d}, got shape {np.shape(x)}")
 
 
 @dataclass
@@ -92,30 +102,22 @@ class QuadraticSum(FiniteSumProblem):
         skew = np.abs(self.A - self.A.transpose(0, 2, 1)).max()
         if skew > SYMMETRY_ATOL:
             raise ProblemError(f"component matrices not symmetric (max |A - A'| = {skew:g})")
-        # cached averages for fast full-gradient / single-coordinate access
+        # cached averages for fast objective and full-gradient evaluation
         self._A_mean = self.A.sum(axis=0) / self.n
         self._b_mean = self.b.sum(axis=0) / self.n
 
     def _component_value(self, i: int, x: np.ndarray) -> float:
         return float(0.5 * x @ (self.A[i] @ x) - self.b[i] @ x)
 
-    def _component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.A[i] @ x - self.b[i]
+    def _grad(self, i, x: np.ndarray) -> np.ndarray:
+        return np.einsum("...ij,...j->...i", self.A[i], x) - self.b[i]
 
     def eval_f(self, x: np.ndarray) -> float:
         self._check_dim(x)
         return float(0.5 * x @ (self._A_mean @ x) - self._b_mean @ x)
 
-    def eval_full_grad(self, x: np.ndarray) -> np.ndarray:
-        self._check_dim(x)
-        return self._A_mean @ x - self._b_mean
-
-    def full_grad_coord(self, i: int, x: np.ndarray) -> float:
-        """Single coordinate of the full gradient, O(d) instead of O(n d)."""
-        return float(self._A_mean[i] @ x - self._b_mean[i])
-
-    def component_grads(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x - self.b
+    def full_grads(self, X: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,...j->...i", self._A_mean, X) - self._b_mean
 
 
 @dataclass
@@ -149,9 +151,10 @@ class LogisticSum(FiniteSumProblem):
         t = self.labels[i] * (self.features[i] @ x)
         return float(np.logaddexp(0.0, -t) + 0.5 * self.ridge * (x @ x))
 
-    def _component_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        t = self.labels[i] * (self.features[i] @ x)
-        return -self.labels[i] * _sigmoid(-t) * self.features[i] + self.ridge * x
+    def _grad(self, i, x: np.ndarray) -> np.ndarray:
+        a, y = self.features[i], self.labels[i]
+        t = y * np.einsum("...j,...j->...", a, x)
+        return (-y * _sigmoid(-t))[..., None] * a + self.ridge * x
 
     def eval_f(self, x: np.ndarray) -> float:
         self._check_dim(x)
@@ -159,13 +162,10 @@ class LogisticSum(FiniteSumProblem):
         return float(np.mean(np.logaddexp(0.0, -t)) + 0.5 * self.ridge * (x @ x))
 
     def eval_full_grad(self, x: np.ndarray) -> np.ndarray:
+        # one point only: the optimum solver calls this in its loop
         self._check_dim(x)
         coef = -self.labels * _sigmoid(-self._margins(x))
         return (coef[:, None] * self.features).sum(axis=0) / self.n + self.ridge * x
-
-    def component_grads(self, x: np.ndarray) -> np.ndarray:
-        coef = -self.labels * _sigmoid(-self._margins(x))
-        return coef[:, None] * self.features + self.ridge * x[None, :]
 
 
 @dataclass(frozen=True)

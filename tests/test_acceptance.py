@@ -67,7 +67,7 @@ def test_criterion_01_deterministic_gd_exactness():
         problem=COND100, estimator=FullGradient(), gamma=gamma, steps=2000, trials=1,
         base_seed=11, record_every=1,
     )
-    dist, _ = run_trajectory(cfg.resolve(), 0)
+    (dist,), _ = run_trajectory(cfg.resolve(), range(1))
     rate = 1.0 - gamma * COND100_C.mu
     bound = dist[0] * rate ** np.arange(2001)
     assert np.all(dist <= bound * (1.0 + 1e-10))
@@ -117,7 +117,7 @@ def test_criterion_03_lsvrg_exact_convergence():
         problem=HET, estimator=LSVRG(p=p), gamma=gamma, steps=5000, trials=1,
         base_seed=303, record_every=5,
     )
-    sdist, _ = run_trajectory(single.resolve(), 0)
+    (sdist,), _ = run_trajectory(single.resolve(), range(1))
     assert sdist[-1] <= 1e-10 * sdist[0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
@@ -132,7 +132,7 @@ def test_criterion_04_sgd_star():
         problem=HET, estimator=SGDStar(), gamma=gamma, steps=200, trials=1,
         base_seed=404, record_every=1,
     )
-    dist, _ = run_trajectory(run.resolve(), 0)
+    (dist,), _ = run_trajectory(run.resolve(), range(1))
     assert dist[-1] <= 1e-10 * dist[0]
 
     mc = ExperimentConfig(
@@ -143,11 +143,10 @@ def test_criterion_04_sgd_star():
 
     # exact fixed point: every sampled gradient at x* is exactly the zero vector
     est = SGDStar()
-    state = est.init_state(HET, HET_C, HET_C.x_star)
-    rng = np.random.default_rng(406)
-    for _ in range(200):
-        g, state = est.sample(HET, HET_C, state, HET_C.x_star, rng)
-        assert np.all(g == 0.0)
+    state = est.init_state(HET, HET_C, HET_C.x_star).tile(200)
+    X = np.tile(HET_C.x_star, (200, 1))
+    G = est.step(HET, HET_C, X, state, est.draw(HET, np.random.default_rng(406), 200))
+    assert np.all(G == 0.0)
     _announce(4, "SGD-star linear convergence and exact fixed point", t0)
 
 
@@ -187,7 +186,7 @@ def test_criterion_05_cdgd_vs_diana_contrast():
         problem=COMP, estimator=DIANA(compressor=comp), steps=2000, trials=1,
         base_seed=507, record_every=10,
     )
-    sdist, _ = run_trajectory(single.resolve(), 0)
+    (sdist,), _ = run_trajectory(single.resolve(), range(1))
     assert sdist[-1] <= 1e-10 * sdist[0]
     _announce(5, "CDGD plateaus at its compression floor, DIANA converges", t0,
               f"cdgd tail/floor={tail/floor:.3f} diana rel dist {sdist[-1]/sdist[0]:.2e}")

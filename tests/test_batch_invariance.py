@@ -1,0 +1,135 @@
+"""Batch invariance of the trajectory kernel and the sampled verifier.
+
+Every output must be the same, bit for bit, however trials are split into
+blocks and verifier replicas into chunks, and the first K steps of a run must
+not depend on how many steps follow them.
+"""
+
+import functools
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgdlab import harness
+from sgdlab.compressor import BernoulliScale, RandK
+from sgdlab.estimator import (
+    CDGD,
+    DIANA,
+    LSVRG,
+    RCD,
+    FullGradient,
+    NoisyGradient,
+    SGDStar,
+    UniformSGD,
+)
+from sgdlab.harness import (
+    ROW_TEMPS,
+    STREAM_CHUNK,
+    ExperimentConfig,
+    _mc_moments,
+    _perturbed_state,
+    run_trajectory,
+)
+from sgdlab.problem import compute_constants, random_logistic, random_quadratic
+
+DIMS = (1, 5, 20, 50)
+FAMILIES = ("quadratic", "logistic")
+COMPRESSORS = {"rand_k": RandK(k=1), "bernoulli": BernoulliScale(q=0.5)}
+KINDS = {
+    "gd": lambda comp: FullGradient(),
+    "sgd": lambda comp: UniformSGD(),
+    "noisy_gd": lambda comp: NoisyGradient(sigma=0.3),
+    "sgd_star": lambda comp: SGDStar(),
+    "lsvrg": lambda comp: LSVRG(p=0.3),
+    "cdgd": lambda comp: CDGD(compressor=comp),
+    "diana": lambda comp: DIANA(compressor=comp),
+    "rcd": lambda comp: RCD(),
+}
+BOUNDED = settings(max_examples=3, deadline=None)
+
+
+@functools.lru_cache(maxsize=None)
+def _problem(family, d):
+    if family == "quadratic":
+        prob = random_quadratic(3, d, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=d)
+    else:
+        prob = random_logistic(3, d, ridge=0.5, seed=d)
+    return prob, compute_constants(prob)
+
+
+def _resolved(kind, family, d, compressor, seed, trials, steps):
+    prob, _ = _problem(family, d)
+    est = KINDS[kind](COMPRESSORS[compressor])
+    cfg = ExperimentConfig(
+        problem=prob, estimator=est, steps=steps, trials=trials, base_seed=seed, record_every=1
+    )
+    return cfg.resolve()
+
+
+def _blocks(resolved, trials, size):
+    parts = [run_trajectory(resolved, range(a, min(trials, a + size))) for a in range(0, trials, size)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(8, 12),
+    steps=st.integers(1, 10),
+    compressor=st.sampled_from(sorted(COMPRESSORS)),
+)
+def test_trajectory_rows_do_not_depend_on_the_trial_block(kind, family, seed, trials, steps, compressor):
+    for d in DIMS:
+        resolved = _resolved(kind, family, d, compressor, seed, trials, steps)
+        whole = run_trajectory(resolved, range(trials))
+        for size in (1, 7):
+            for blocked, full in zip(_blocks(resolved, trials, size), whole):
+                np.testing.assert_array_equal(blocked, full, err_msg=f"d={d} block={size}")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@BOUNDED
+@given(
+    family=st.sampled_from(FAMILIES),
+    d=st.sampled_from(DIMS),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 20),
+    compressor=st.sampled_from(sorted(COMPRESSORS)),
+)
+def test_first_steps_do_not_depend_on_the_run_length(kind, family, d, seed, steps, compressor):
+    short = run_trajectory(_resolved(kind, family, d, compressor, seed, 3, steps), range(3))
+    longer = _resolved(kind, family, d, compressor, seed, 3, steps + STREAM_CHUNK)
+    for prefix, full in zip(short, run_trajectory(longer, range(3))):
+        np.testing.assert_array_equal(prefix, full[:, : steps + 1])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@BOUNDED
+@given(
+    family=st.sampled_from(FAMILIES),
+    d=st.sampled_from(DIMS),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(2, 40),
+    chunk=st.integers(1, 9),
+    compressor=st.sampled_from(sorted(COMPRESSORS)),
+)
+def test_sampled_moments_do_not_depend_on_the_replica_chunk(
+    kind, family, d, seed, samples, chunk, compressor
+):
+    prob, cons = _problem(family, d)
+    est = KINDS[kind](COMPRESSORS[compressor])
+    rng = np.random.default_rng(seed)
+    x = cons.x_star + rng.standard_normal(d)
+    state = _perturbed_state(cons, est.init_state(prob, cons, rng.standard_normal(d)), rng)
+
+    def moments(budget):
+        with mock.patch.object(harness, "BLOCK_BYTES", budget):
+            return _mc_moments(est, prob, cons, state, x, np.random.default_rng([seed, 1]), samples)
+
+    row_bytes = 8 * ROW_TEMPS * prob.n * d
+    assert moments(chunk * row_bytes) == moments(harness.BLOCK_BYTES)

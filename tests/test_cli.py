@@ -1,5 +1,6 @@
 """CLI subcommands: run, verify, sweep, list; exit codes; CSV/manifest format."""
 
+import configparser
 import os
 import subprocess
 import sys
@@ -121,6 +122,15 @@ def test_manifest_roundtrip_reproduces_csv(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
 
+def test_manifest_records_stream_layout(tmp_path):
+    cfg = write(tmp_path, LSVRG_CONF)
+    out = tmp_path / "s"
+    assert cli.main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    manifest = configparser.ConfigParser(interpolation=None)
+    manifest.read(out / "manifest")
+    assert manifest["tool"]["stream"] == "2"
+
+
 def test_seed_and_trials_overrides(tmp_path):
     cfg = write(tmp_path, LSVRG_CONF)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -153,8 +163,8 @@ def test_oversized_gamma_reports_maximum(tmp_path, capsys):
 
 
 def test_diverging_run_is_a_one_line_error(tmp_path):
-    # a start at radius 1e200 overflows on the first LSVRG step; run the CLI in
-    # its own process so worker-process output is checked too
+    # a start at radius 1e200 overflows ||x0 - x*||^2; run the CLI in its own
+    # process so everything it writes to stderr is checked
     cfg = write(tmp_path, LSVRG_CONF.replace("[run]", "[run]\nx0_radius = 1e200"))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -165,8 +175,8 @@ def test_diverging_run_is_a_one_line_error(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
-    # divergence is detected at the first recorded iteration (record_every = 20)
-    assert "iteration 20 in trial 0" in proc.stderr
+    # the error names the step that overflowed, not the next recorded one (record_every = 20)
+    assert "iteration 0 in trial 0" in proc.stderr
 
 
 def test_verify_passes_on_sound_config(tmp_path, capsys):
@@ -183,6 +193,29 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     fake = Report(title="assumption[lsvrg]", checks=[Check("second_moment[0]", -1.0, 0.0, True)])
     monkeypatch.setattr(cli, "verify_assumption", lambda *a, **k: fake)
     assert cli.main(["verify", "--config", cfg, "--quiet"]) == 1
+
+
+def test_verify_sampled_bernoulli_variance_allows_round_off(tmp_path):
+    # at q = 1/2 every draw's squared error is omega * ||x||^2 up to rounding,
+    # so the sampled variance check needs the exact check's round-off slack
+    conf = """
+[problem]
+family = quadratic
+n = 6
+d = 17
+seed = 5
+
+[estimator]
+kind = diana
+compressor = bernoulli
+q = 0.5
+
+[run]
+steps = 100
+trials = 8
+"""
+    cfg = write(tmp_path, conf)
+    assert cli.main(["verify", "--config", cfg, "--points", "4", "--quiet"]) == 0
 
 
 def test_verify_includes_compressor_checks(tmp_path, capsys):

@@ -20,7 +20,7 @@ from sgdlab.estimator import (
     rsgc_certificate,
     rwgc_certificate,
 )
-from sgdlab.harness import verify_assumption
+from sgdlab.harness import STREAM_CHUNK, ExperimentConfig, run_trajectory, verify_assumption
 from sgdlab.problem import QuadraticSum, compute_constants, random_quadratic
 
 PROBLEM = random_quadratic(6, 4, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=21)
@@ -157,21 +157,25 @@ def test_stateless_kinds_have_zero_sigma():
 # ---------------------------------------------------------------- sampling rules
 
 
+def _replicas(est, x, state, rng, samples, problem=PROBLEM, constants=CONSTANTS):
+    """One step of `samples` replicas of (x, state); returns (G, advanced batch state)."""
+    batch = state.tile(samples)
+    X = np.tile(x, (samples, 1))
+    return est.step(problem, constants, X, batch, est.draw(problem, rng, samples)), batch
+
+
 def test_sgd_star_is_exactly_zero_at_optimum():
     est = SGDStar()
     st = est.init_state(PROBLEM, CONSTANTS, CONSTANTS.x_star)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        g, st = est.sample(PROBLEM, CONSTANTS, st, CONSTANTS.x_star, rng)
-        assert np.all(g == 0.0)
+    G, _ = _replicas(est, CONSTANTS.x_star, st, np.random.default_rng(5), 50)
+    assert np.all(G == 0.0)
 
 
 def test_lsvrg_with_reference_at_x_returns_full_gradient():
     est = LSVRG(p=0.0001)
     x = np.array([0.3, -1.0, 2.0, 0.7])
     st = est.init_state(PROBLEM, CONSTANTS, x)
-    rng = np.random.default_rng(6)
-    g, st = est.sample(PROBLEM, CONSTANTS, st, x, rng)
+    (g,), _ = _replicas(est, x, st, np.random.default_rng(6), 1)
     np.testing.assert_array_equal(g, PROBLEM.eval_full_grad(x))
 
 
@@ -179,10 +183,9 @@ def test_diana_identity_alpha_one_telescopes():
     est = DIANA(compressor=Identity(), alpha=1.0)
     x = np.array([1.0, 0.5, -0.5, 2.0])
     st = est.init_state(PROBLEM, CONSTANTS, x)
-    rng = np.random.default_rng(7)
-    g, st = est.sample(PROBLEM, CONSTANTS, st, x, rng)
+    (g,), batch = _replicas(est, x, st, np.random.default_rng(7), 1)
     np.testing.assert_allclose(g, PROBLEM.eval_full_grad(x), rtol=1e-15)
-    np.testing.assert_allclose(st.shifts, PROBLEM.component_grads(x), rtol=1e-15)
+    np.testing.assert_allclose(batch.shifts[0], PROBLEM.component_grads(x), rtol=1e-15)
 
 
 def test_rcd_two_point_outcome_space():
@@ -191,32 +194,94 @@ def test_rcd_two_point_outcome_space():
     x = np.array([1.0, 3.0])  # grad f = (1, 3)
     est = RCD()
     st = est.init_state(prob, cons, x)
-    rng = np.random.default_rng(8)
-    seen = set()
-    for _ in range(100):
-        g, st = est.sample(prob, cons, st, x, rng)
-        seen.add(tuple(g))
-    assert seen == {(2.0, 0.0), (0.0, 6.0)}
+    G, _ = _replicas(est, x, st, np.random.default_rng(8), 100, prob, cons)
+    assert {tuple(g) for g in G} == {(2.0, 0.0), (0.0, 6.0)}
     np.testing.assert_allclose(est.exact_mean(prob, cons, st, x), [1.0, 3.0], rtol=1e-15)
 
 
+def _replay_layout_v2(est, shadow_chunk, check_step, trial=3, seed=1234):
+    """Replay trial `trial` step by step from a shadow of its stream.
+
+    shadow_chunk(shadow) must draw one chunk of STREAM_CHUNK steps the way
+    stream layout 2 documents it; check_step(draws, x, before, G, after) checks
+    one step against the estimator's rule.  The replayed squared distances
+    must equal run_trajectory's bit for bit, across a chunk boundary.
+    """
+    steps = STREAM_CHUNK + 20
+    cfg = ExperimentConfig(
+        problem=PROBLEM, estimator=est, gamma=0.05, steps=steps, trials=trial + 1,
+        base_seed=seed, record_every=1,
+    )
+    resolved = cfg.resolve()
+    shadow = np.random.default_rng([seed, 0, trial])
+    X = resolved.x0[None, :].copy()
+    batch = est.init_state(PROBLEM, CONSTANTS, resolved.x0).tile(1)
+    dist = []
+    for k in range(steps + 1):
+        if k > 0:
+            t = (k - 1) % STREAM_CHUNK
+            if t == 0:
+                chunk = shadow_chunk(shadow)
+            draws = [a[t : t + 1] for a in chunk]
+            before = batch.row(0)
+            G = est.step(PROBLEM, CONSTANTS, X, batch, draws)
+            check_step([a[0] for a in draws], X[0], before, G[0], batch.row(0))
+            X -= 0.05 * G
+        diff = X - CONSTANTS.x_star
+        dist.append(np.einsum("rd,rd->r", diff, diff)[0])
+    (traced,), _ = run_trajectory(resolved, range(trial, trial + 1))
+    np.testing.assert_array_equal(traced, dist)
+
+
 def test_lsvrg_randomness_order_index_then_coin():
-    # the component index is drawn before the refresh coin, same stream
+    # stream layout 2: a chunk draws all of its component indices, then all of its refresh coins
     est = LSVRG(p=0.5)
-    st = est.init_state(PROBLEM, CONSTANTS, np.zeros(PROBLEM.d))
-    rng = np.random.default_rng(1234)
-    shadow = np.random.default_rng(1234)
-    for t in range(30):
-        x = np.full(PROBLEM.d, float(t + 1))  # distinct iterate each step
-        i = int(shadow.integers(PROBLEM.n))
-        coin = shadow.random() < est.p
-        shifts_before, mean_before = st.shifts.copy(), st.shift_mean.copy()
-        expected = PROBLEM.eval_grad_i(i, x) - st.shifts[i] + st.shift_mean
-        g, st = est.sample(PROBLEM, CONSTANTS, st, x, rng)
+    chunk = lambda shadow: (shadow.integers(PROBLEM.n, size=STREAM_CHUNK), shadow.random(STREAM_CHUNK))
+    refreshes = []
+
+    def check_step(draws, x, before, g, after):
+        i, coin = int(draws[0]), draws[1] < est.p
+        expected = PROBLEM.eval_grad_i(i, x) - before.shifts[i] + before.shift_mean
         np.testing.assert_array_equal(g, expected)
         # a refresh re-anchors the shift table at the current iterate
-        np.testing.assert_array_equal(st.shifts, PROBLEM.component_grads(x) if coin else shifts_before)
-        np.testing.assert_array_equal(st.shift_mean, PROBLEM.eval_full_grad(x) if coin else mean_before)
+        np.testing.assert_array_equal(after.shifts, PROBLEM.component_grads(x) if coin else before.shifts)
+        mean = PROBLEM.eval_full_grad(x) if coin else before.shift_mean
+        np.testing.assert_array_equal(after.shift_mean, mean)
+        refreshes.append(coin)
+
+    _replay_layout_v2(est, chunk, check_step)
+    assert 0 < sum(refreshes) < len(refreshes)
+
+
+def test_diana_rand_k_stream_layout():
+    # stream layout 2: swap j of the partial Fisher-Yates shuffle draws
+    # integers(j, d) for every (step, worker) of the chunk at once
+    k, d, n = 2, PROBLEM.d, PROBLEM.n
+    est = DIANA(compressor=RandK(k=k))
+    alpha = est.resolved_alpha(d)
+
+    def chunk(shadow):
+        swaps = [shadow.integers(j, d, size=(STREAM_CHUNK, n)) for j in range(k)]
+        keep = np.empty((STREAM_CHUNK, n, k), dtype=np.int64)
+        for t in range(STREAM_CHUNK):
+            for i in range(n):
+                perm = list(range(d))
+                for j in range(k):
+                    r = swaps[j][t, i]
+                    perm[j], perm[r] = perm[r], perm[j]
+                keep[t, i] = perm[:k]
+        return (keep,)
+
+    def check_step(draws, x, before, g, after):
+        (keep,) = draws
+        u = PROBLEM.component_grads(x) - before.shifts
+        delta = np.zeros_like(u)
+        for i in range(n):
+            delta[i, keep[i]] = u[i, keep[i]] * (d / k)
+        np.testing.assert_allclose(g, (before.shifts + delta).sum(axis=0) / n, rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(after.shifts, before.shifts + alpha * delta)
+
+    _replay_layout_v2(est, chunk, check_step)
 
 
 # --------------------------------------------------- unbiasedness (exact + MC)
@@ -256,10 +321,7 @@ def test_statistical_unbiasedness_through_sampler(est, samples):
     for _ in range(points):
         x = CONSTANTS.x_star + rng.standard_normal(PROBLEM.d)
         st0 = est.init_state(PROBLEM, CONSTANTS, rng.standard_normal(PROBLEM.d))
-        draws = np.empty((samples, PROBLEM.d))
-        for s in range(samples):
-            g, _ = est.sample(PROBLEM, CONSTANTS, st0.copy(), x, rng)
-            draws[s] = g
+        draws, _ = _replicas(est, x, st0, rng, samples)
         se = draws.std(axis=0, ddof=1) / np.sqrt(samples)
         dev = np.abs(draws.mean(axis=0) - PROBLEM.eval_full_grad(x))
         assert np.all(dev <= 4.0 * se + 1e-12)
@@ -298,10 +360,8 @@ def test_diana_sigma_recursion_matches_monte_carlo():
     st.sigma_sq = float(np.mean(np.sum((st.shifts - CONSTANTS.grads_at_star) ** 2, axis=1)))
     exact = est.exact_sigma_next(PROBLEM, CONSTANTS, st, x)
     samples = 20000
-    vals = np.empty(samples)
-    for s in range(samples):
-        _, nxt = est.sample(PROBLEM, CONSTANTS, st.copy(), x, rng)
-        vals[s] = nxt.sigma_sq
+    _, batch = _replicas(est, x, st, rng, samples)
+    vals = batch.sigma_sq
     se = vals.std(ddof=1) / np.sqrt(samples)
     assert abs(vals.mean() - exact) <= 4 * se
 
@@ -313,10 +373,11 @@ def test_diana_sigma_recursion_matches_monte_carlo():
 def test_sigma_tracker_matches_recomputation(est):
     rng = np.random.default_rng(60)
     x = CONSTANTS.x_star + rng.standard_normal(PROBLEM.d)
-    st = est.init_state(PROBLEM, CONSTANTS, x)
-    for _ in range(40):
-        g, st = est.sample(PROBLEM, CONSTANTS, st, x, rng)
-        x = x - 0.05 * g
+    X, batch = x[None, :], est.init_state(PROBLEM, CONSTANTS, x).tile(1)
+    draws = est.draw(PROBLEM, rng, 40)
+    for t in range(40):
+        X = X - 0.05 * est.step(PROBLEM, CONSTANTS, X, batch, [a[t : t + 1] for a in draws])
+        st = batch.row(0)
         fresh = float(np.mean(np.sum((st.shifts - CONSTANTS.grads_at_star) ** 2, axis=1)))
         assert st.sigma_sq == pytest.approx(fresh, rel=1e-12, abs=1e-300)
 

@@ -16,9 +16,9 @@ from sgdlab.harness import (
     run_monte_carlo,
     run_trajectory,
     tail_mean,
-    thread_count,
     verify_assumption,
     verify_bound,
+    verify_compressor,
 )
 from sgdlab.problem import compute_constants, random_quadratic
 
@@ -32,7 +32,7 @@ def test_gd_trajectory_dominated_by_geometric_decay():
         problem=prob, estimator=FullGradient(), steps=400, trials=1, base_seed=3, record_every=1
     )
     resolved = cfg.resolve()
-    dist, _ = run_trajectory(resolved, 0)
+    (dist,), _ = run_trajectory(resolved, range(1))
     cons = resolved.constants
     rate = 1.0 - resolved.gamma * cons.mu
     bound = dist[0] * rate ** np.arange(401)
@@ -49,7 +49,7 @@ def test_sgd_star_fixed_point_at_optimum():
         record_every=1,
         x0_radius=0.0,  # start exactly at x*
     )
-    dist, sig = run_trajectory(cfg.resolve(), 0)
+    (dist,), (sig,) = run_trajectory(cfg.resolve(), range(1))
     assert np.all(dist == 0.0) and np.all(sig == 0.0)
 
 
@@ -66,27 +66,29 @@ def test_single_trial_stats_equal_trajectory():
     )
     resolved = cfg.resolve()
     stats = run_monte_carlo(resolved)
-    dist, sig = run_trajectory(resolved, 0)
+    (dist,), (sig,) = run_trajectory(resolved, range(1))
     np.testing.assert_array_equal(stats.mean_dist_sq, dist)
     np.testing.assert_array_equal(stats.mean_sigma_sq, sig)
     assert stats.std_V[0] == 0.0
 
 
-def test_bitwise_reproducibility_and_parallel_independence(monkeypatch):
+def test_bitwise_reproducibility_and_parallel_independence():
     cfg = ExperimentConfig(
         problem=HET, estimator=LSVRG(p=0.05), steps=300, trials=12, base_seed=99, record_every=25
     )
-    monkeypatch.setenv("SGDLAB_THREADS", "1")
-    serial = run_monte_carlo(cfg)
-    serial2 = run_monte_carlo(cfg)
-    monkeypatch.setenv("SGDLAB_THREADS", "3")
-    parallel = run_monte_carlo(cfg)
-    for a, b in ((serial, serial2), (serial, parallel)):
-        np.testing.assert_array_equal(a.mean_dist_sq, b.mean_dist_sq)
-        np.testing.assert_array_equal(a.mean_sigma_sq, b.mean_sigma_sq)
-        np.testing.assert_array_equal(a.mean_V, b.mean_V)
-        np.testing.assert_array_equal(a.std_V, b.std_V)
-        np.testing.assert_array_equal(a.bound_V, b.bound_V)
+    a, b = run_monte_carlo(cfg), run_monte_carlo(cfg)
+    np.testing.assert_array_equal(a.mean_dist_sq, b.mean_dist_sq)
+    np.testing.assert_array_equal(a.mean_sigma_sq, b.mean_sigma_sq)
+    np.testing.assert_array_equal(a.mean_V, b.mean_V)
+    np.testing.assert_array_equal(a.std_V, b.std_V)
+    np.testing.assert_array_equal(a.bound_V, b.bound_V)
+    # trial blocks of 1, 5 and 12 give every trial the same trajectory bits
+    resolved = cfg.resolve()
+    whole = run_trajectory(resolved, range(12))
+    for size in (1, 5):
+        blocks = [run_trajectory(resolved, range(a, min(12, a + size))) for a in range(0, 12, size)]
+        for part, full in zip(zip(*blocks), whole):
+            np.testing.assert_array_equal(np.concatenate(part), full)
 
 
 def test_lyapunov_consistency():
@@ -161,10 +163,11 @@ def _warm_states(est, steps=12, seed=40):
     x = HET_CONST.x_star + rng.standard_normal(HET.d)
     state = est.init_state(HET, HET_CONST, x)
     states = [state.copy()]
-    for _ in range(steps):
-        g, state = est.sample(HET, HET_CONST, state, x, rng)
-        x = x - 0.05 * g
-        states.append(state.copy())
+    X, batch = x[None, :], state.tile(1)
+    draws = est.draw(HET, rng, steps)
+    for t in range(steps):
+        X = X - 0.05 * est.step(HET, HET_CONST, X, batch, [a[t : t + 1] for a in draws])
+        states.append(batch.row(0))
     return states
 
 
@@ -210,6 +213,17 @@ def test_perturbed_states_are_consistent_shift_tables(est):
             np.testing.assert_allclose(state.shift_mean, state.shifts.mean(axis=0), rtol=1e-12)
 
 
+def test_sampled_compressor_check_catches_halved_omega():
+    class HalfOmega(BernoulliScale):
+        def omega(self, d):
+            return 0.5 * super().omega(d)
+
+    report = verify_compressor(HalfOmega(q=0.5), 17, seed=5)  # 2^17 keep-masks: sampled
+    variance = [c for c in report.checks if c.name.startswith("variance[")]
+    assert len(variance) == 5 and not any(c.exact for c in variance)
+    assert not any(c.passed for c in variance)
+
+
 def test_variance_reduction_signature():
     """VR methods drive the tail to ~0; plain SGD and CDGD plateau at the floor."""
     d0 = 1.0  # unit start radius
@@ -241,22 +255,24 @@ def test_overflow_raises_diagnostic_error():
     cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), steps=500, trials=1, base_seed=18)
     resolved = dataclasses.replace(cfg.resolve(), gamma=50.0)  # far beyond stability
     with pytest.raises(TrajectoryError, match="iteration"):
-        run_trajectory(resolved, 0)
+        run_trajectory(resolved, range(1))
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.setenv("SGDLAB_THREADS", "5")
-    assert thread_count() == 5
-    monkeypatch.setenv("SGDLAB_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.delenv("SGDLAB_THREADS")
-    assert thread_count() >= 1
-    monkeypatch.setenv("SGDLAB_THREADS", "abc")
-    with pytest.raises(ValueError, match="integer"):
-        thread_count()
-    monkeypatch.setenv("SGDLAB_THREADS", "-2")
-    with pytest.raises(ValueError, match=">= 0"):
-        thread_count()
+def test_overflow_names_the_same_step_for_any_record_stride():
+    messages = []
+    for stride in (1, 25):
+        cfg = ExperimentConfig(
+            problem=HET, estimator=FullGradient(), steps=500, trials=3, base_seed=18,
+            record_every=stride,
+        )
+        resolved = dataclasses.replace(cfg.resolve(), gamma=50.0)
+        with pytest.raises(TrajectoryError) as info:
+            run_monte_carlo(resolved)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    step = int(messages[0].split("iteration ")[1].split()[0])
+    # GD at gamma = 50 overflows between two recorded iterations of stride 25
+    assert step % 25 != 0 and messages[0].endswith("in trial 0")
 
 
 def test_tail_mean_window():
@@ -299,6 +315,6 @@ def test_min_curvature_start_mode():
     resolved = cfg.resolve()
     cons = resolved.constants
     # starting along the softest eigendirection: GD contracts at exactly 1 - gamma*mu
-    dist, _ = run_trajectory(resolved, 0)
+    (dist,), _ = run_trajectory(resolved, range(1))
     rate = (1.0 - resolved.gamma * cons.mu) ** 2
     np.testing.assert_allclose(dist[1:] / dist[:-1], rate, rtol=1e-10)
