@@ -23,7 +23,6 @@ from .estimator import (
     NoisyGradient,
     SGDStar,
     UniformSGD,
-    rsgc_certificate,
     rwgc_certificate,
 )
 from .harness import (
@@ -47,7 +46,7 @@ from .problem import (
     random_logistic,
     random_quadratic,
 )
-from .theory import BoundCurve, StepsizeError, bound_at, bound_curve, default_M, max_stepsize, recursion_oracle
+from .theory import BoundCurve, StepsizeError, bound_curve, default_M, max_stepsize, recursion_oracle
 
 __all__ = [
     "BernoulliScale",
@@ -77,7 +76,6 @@ __all__ = [
     "TrajectoryStats",
     "UniformSGD",
     "UnsupportedSizeError",
-    "bound_at",
     "bound_curve",
     "compute_constants",
     "default_M",
@@ -85,7 +83,6 @@ __all__ = [
     "random_logistic",
     "random_quadratic",
     "recursion_oracle",
-    "rsgc_certificate",
     "rwgc_certificate",
     "run_monte_carlo",
     "run_trajectory",

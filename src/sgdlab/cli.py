@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / all checks PASS, 1 = a verification check FAILed
 or a trajectory diverged (non-finite iterate), 2 = usage or configuration
-error.  Errors are reported as one `error: ...` line on stderr.
+error, or an output path that cannot be written.  Errors are reported as one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
     except TrajectoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -183,9 +183,3 @@ class BernoulliScale(Compressor):
     def describe(self) -> str:
         return f"bernoulli (q = {self.q:g}, omega = 1/q - 1)"
 
-
-COMPRESSORS = {
-    "identity": Identity,
-    "rand_k": RandK,
-    "bernoulli": BernoulliScale,
-}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,10 +86,13 @@ class _Section:
         if auto and isinstance(v, str) and v.strip() == "auto":
             return "auto"
         try:
-            return float(v)
+            value = float(v)
         except ValueError:
-            expected = "a number or 'auto'" if auto else "a number"
-            raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            expected = "a finite number or 'auto'" if auto else "a finite number"
+            raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}")
+        return value
 
     def get_json(self, key: str, default=None):
         v = self._raw(key, default)

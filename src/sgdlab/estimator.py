@@ -41,15 +41,15 @@ from .problem import FiniteSumProblem, ProblemConstants
 
 @dataclass(frozen=True)
 class Certificate:
-    """Parameter tuple certifying the two estimator inequalities above."""
+    """Parameter tuple certifying the two estimator inequalities above (defaults: no sigma)."""
 
     A: float
-    B: float
-    C: float
-    D1: float
-    D2: float
-    rho: float
-    has_sigma: bool
+    B: float = 0.0
+    C: float = 0.0
+    D1: float = 0.0
+    D2: float = 0.0
+    rho: float = 1.0
+    has_sigma: bool = False
 
     def __post_init__(self) -> None:
         for name in ("A", "B", "C", "D1", "D2"):
@@ -72,17 +72,10 @@ def rwgc_certificate(rho_growth: float, L: float, sigma_sq: float) -> Certificat
     A growth bound E||g||^2 = 2 rho_growth L (f - f*) + sigma^2 maps to
     (A = rho_growth * L, D1 = sigma^2) with no variance-reduction sequence.
     rho_growth is the growth parameter, distinct from the certificate's rho.
+    For an L-smooth objective the relaxed strong growth condition implies this
+    one with the same parameters, so it maps to the same certificate.
     """
-    return Certificate(A=rho_growth * L, B=0.0, C=0.0, D1=sigma_sq, D2=0.0, rho=1.0, has_sigma=False)
-
-
-def rsgc_certificate(rho_growth: float, L: float, sigma_sq: float) -> Certificate:
-    """Certificate preset for the relaxed strong growth condition.
-
-    For an L-smooth objective the strong growth bound implies the weak one
-    with the same parameters, so the preset coincides with rwgc_certificate.
-    """
-    return rwgc_certificate(rho_growth, L, sigma_sq)
+    return Certificate(A=rho_growth * L, D1=sigma_sq)
 
 
 @dataclass
@@ -184,7 +177,7 @@ class FullGradient(Estimator):
         return problem.full_grads(X)
 
     def certificate(self, problem, constants):
-        return Certificate(A=constants.L, B=0.0, C=0.0, D1=0.0, D2=0.0, rho=1.0, has_sigma=False)
+        return Certificate(A=constants.L)
 
     def exact_mean(self, problem, constants, state, x):
         return problem.eval_full_grad(x)
@@ -211,15 +204,7 @@ class UniformSGD(Estimator):
         return problem.eval_grad_i(i, X)
 
     def certificate(self, problem, constants):
-        return Certificate(
-            A=2.0 * constants.L_max,
-            B=0.0,
-            C=0.0,
-            D1=2.0 * constants.sigma_star_sq,
-            D2=0.0,
-            rho=1.0,
-            has_sigma=False,
-        )
+        return Certificate(A=2.0 * constants.L_max, D1=2.0 * constants.sigma_star_sq)
 
     def exact_mean(self, problem, constants, state, x):
         return problem.component_grads(x).sum(axis=0) / problem.n
@@ -254,15 +239,7 @@ class NoisyGradient(Estimator):
         return problem.full_grads(X) + self.sigma * z
 
     def certificate(self, problem, constants):
-        return Certificate(
-            A=constants.L,
-            B=0.0,
-            C=0.0,
-            D1=problem.d * self.sigma**2,
-            D2=0.0,
-            rho=1.0,
-            has_sigma=False,
-        )
+        return Certificate(A=constants.L, D1=problem.d * self.sigma**2)
 
     def exact_mean(self, problem, constants, state, x):
         return problem.eval_full_grad(x)
@@ -285,9 +262,7 @@ class SGDStar(Estimator):
         return problem.eval_grad_i(i, X) - constants.grads_at_star[i]
 
     def certificate(self, problem, constants):
-        return Certificate(
-            A=constants.L_max, B=0.0, C=0.0, D1=0.0, D2=0.0, rho=1.0, has_sigma=False
-        )
+        return Certificate(A=constants.L_max)
 
     def exact_mean(self, problem, constants, state, x):
         rows = problem.component_grads(x) - constants.grads_at_star
@@ -341,13 +316,7 @@ class LSVRG(Estimator):
 
     def certificate(self, problem, constants):
         return Certificate(
-            A=2.0 * constants.L_max,
-            B=2.0,
-            C=self.p * constants.L_max,
-            D1=0.0,
-            D2=0.0,
-            rho=self.p,
-            has_sigma=True,
+            A=2.0 * constants.L_max, B=2.0, C=self.p * constants.L_max, rho=self.p, has_sigma=True
         )
 
     def exact_mean(self, problem, constants, state, x):
@@ -372,7 +341,7 @@ class CDGD(Estimator):
     """Compressed distributed GD: g = (1/n) sum_i Q(grad f_i(x)).
 
     Workers compress independently; no shift learning, so heterogeneous optima
-    leave a compression-noise floor proportional to omega * zeta*^2 / n.
+    leave a compression-noise floor proportional to omega * sigma*^2 / n.
     """
 
     compressor: Compressor = field(default_factory=Identity)
@@ -389,12 +358,7 @@ class CDGD(Estimator):
         omega = self.compressor.omega(problem.d)
         return Certificate(
             A=constants.L + 2.0 * omega * constants.L_max / problem.n,
-            B=0.0,
-            C=0.0,
-            D1=2.0 * omega * constants.zeta_star_sq / problem.n,
-            D2=0.0,
-            rho=1.0,
-            has_sigma=False,
+            D1=2.0 * omega * constants.sigma_star_sq / problem.n,
         )
 
     def exact_mean(self, problem, constants, state, x):
@@ -460,8 +424,6 @@ class DIANA(Estimator):
             A=2.0 * constants.L + 2.0 * omega * constants.L_max / problem.n,
             B=2.0 + 2.0 * omega / problem.n,
             C=alpha * constants.L_max,
-            D1=0.0,
-            D2=0.0,
             rho=alpha,
             has_sigma=True,
         )
@@ -521,9 +483,7 @@ class RCD(Estimator):
         return G
 
     def certificate(self, problem, constants):
-        return Certificate(
-            A=problem.d * constants.L, B=0.0, C=0.0, D1=0.0, D2=0.0, rho=1.0, has_sigma=False
-        )
+        return Certificate(A=problem.d * constants.L)
 
     def exact_mean(self, problem, constants, state, x):
         return problem.eval_full_grad(x)
@@ -553,7 +513,7 @@ CERTIFICATE_FORMULAS: dict[str, str] = {
     "noisy_gd": "A=L, B=0, C=0, D1=d*sigma^2, D2=0, rho=1",
     "sgd_star": "A=L_max, B=0, C=0, D1=0, D2=0, rho=1",
     "lsvrg": "A=2*L_max, B=2, C=p*L_max, D1=0, D2=0, rho=p",
-    "cdgd": "A=L+2*omega*L_max/n, B=0, C=0, D1=2*omega*zeta_star^2/n, D2=0, rho=1",
+    "cdgd": "A=L+2*omega*L_max/n, B=0, C=0, D1=2*omega*sigma_star^2/n, D2=0, rho=1",
     "diana": "A=2*L+2*omega*L_max/n, B=2+2*omega/n, C=alpha*L_max, D1=0, D2=0, rho=alpha",
     "rcd": "A=d*L, B=0, C=0, D1=0, D2=0, rho=1",
 }

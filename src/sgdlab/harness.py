@@ -169,6 +169,29 @@ class TrajectoryStats:
     trials: int
     gamma: float
     M: float
+    roundoff: float  # float64 resolution of sqrt(V) near x*, see verify_bound
+
+
+def _roundoff(resolved: ResolvedExperiment) -> float:
+    """Absolute term c of verify_bound, with unit round-off u.
+
+    A gradient or shift evaluated near x* sums d products of size up to
+    L_max ||x*|| and component gradients of total norm sqrt(n) sigma*, so it is
+    off by e = u sqrt(d) (L_max ||x*|| + sqrt(n) sigma*).  Shifts enter sqrt(V)
+    with weight w = gamma sqrt(M); rho / (1 - sqrt(1-r)) is evaluated as
+    rho (1 + sqrt(1-r)) / r, which does not cancel.
+    """
+    problem, c, gamma = resolved.problem, resolved.constants, resolved.gamma
+    u = 0.5 * np.finfo(float).eps
+    norm_star = float(np.linalg.norm(c.x_star))
+    e = u * math.sqrt(problem.d) * (c.L_max * norm_star + math.sqrt(problem.n * c.sigma_star_sq))
+    w = gamma * math.sqrt(resolved.M)
+    rho = u * norm_star + (gamma + w) * e
+    rate = 1.0 - resolved.curve.contraction
+    residual = float(np.linalg.norm(c.grads_at_star.sum(axis=0) / problem.n))
+    offset = (residual + e) / c.mu
+    delta = offset * (1.0 + w * c.L_max) + w * e
+    return rho * (1.0 + math.sqrt(1.0 - rate)) / rate + 2.0 * delta
 
 
 def run_trajectory(resolved: ResolvedExperiment, trials: range) -> tuple[np.ndarray, np.ndarray]:
@@ -238,6 +261,7 @@ def run_monte_carlo(config: ExperimentConfig | ResolvedExperiment) -> Trajectory
             trials=R,
             gamma=resolved.gamma,
             M=resolved.M,
+            roundoff=_roundoff(resolved),
         )
 
 
@@ -438,10 +462,21 @@ def verify_bound(
     slack_rel: float = DEFAULT_SLACK_REL,
     slack_stat: float = DEFAULT_SLACK_STAT,
 ) -> Report:
-    """Check mean_V(k) <= bound_V(k)*(1+slack_rel) + slack_stat*std_V(k)/sqrt(R)."""
+    """Check mean_V(k) <= (sqrt(bound_V(k)*(1+slack_rel)) + c)^2 + slack_stat*std_V(k)/sqrt(R).
+
+    c = stats.roundoff is the float64 floor of sqrt(V), below which a bound
+    cannot be checked.  Stack the iterate and shift table as z, so that V_k =
+    ||z_k - z*||^2.  If each computed step is the exact step plus an error of
+    norm <= rho (the rounding u ||x*|| plus gamma times the round-off of the
+    gradients and shifts), Minkowski's inequality gives s_{k+1} <= sqrt((1-r)
+    s_k^2 + N) + rho for s_k = sqrt(E[V_k]), hence by induction s_k <=
+    sqrt(bound_k) + rho / (1 - sqrt(1-r)).  The stored x* is within delta =
+    ||grad f(x*)|| / mu of the exact optimum (strong convexity), which adds
+    2 delta, and the shifts at x* inherit it through L_max.
+    """
     report = Report(title="bound_domination")
     se = stats.std_V / math.sqrt(stats.trials)
-    limit = stats.bound_V * (1.0 + slack_rel) + slack_stat * se
+    limit = (np.sqrt(stats.bound_V * (1.0 + slack_rel)) + stats.roundoff) ** 2 + slack_stat * se
     margins = limit - stats.mean_V
     worst = int(np.argmin(margins))
     for idx in range(len(stats.ks)):

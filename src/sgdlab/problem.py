@@ -3,12 +3,13 @@
 A problem is f(x) = (1/n) * sum_i f_i(x) where every component is either a
 quadratic  f_i(x) = 0.5 x'A_i x - b_i'x  or a ridge-regularized logistic loss
 f_i(x) = log(1 + exp(-y_i a_i'x)) + 0.5*ridge*||x||^2.  All gradients are
-analytic; smoothness and strong-convexity constants are computed exactly
-(quadratic) or from certified closed forms (logistic).
+analytic; L, mu and x* are computed exactly (quadratic) or from certified
+closed forms and Newton's method (logistic).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 SYMMETRY_ATOL = 1e-12
 OPT_GRAD_RTOL = 1e-10
 LOGISTIC_OPT_TOL = 1e-12
-LOGISTIC_OPT_MAX_ITER = 10**6
 
 
 class ProblemError(ValueError):
@@ -99,6 +99,8 @@ class QuadraticSum(FiniteSumProblem):
         self.n, self.d = self.b.shape
         if self.n < 1 or self.d < 1:
             raise ProblemError("need n >= 1 and d >= 1")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()):
+            raise ProblemError("matrices and offsets must be finite")
         skew = np.abs(self.A - self.A.transpose(0, 2, 1)).max()
         if skew > SYMMETRY_ATOL:
             raise ProblemError(f"component matrices not symmetric (max |A - A'| = {skew:g})")
@@ -139,9 +141,11 @@ class LogisticSum(FiniteSumProblem):
             raise ProblemError("labels must be a vector of length n")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ProblemError("labels must be -1 or +1")
-        if self.ridge < 0:
-            raise ProblemError("ridge coefficient must be >= 0")
+        if not np.isfinite(self.features).all():
+            raise ProblemError("features must be finite")
         self.ridge = float(self.ridge)
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ProblemError(f"ridge coefficient must be finite and >= 0, got {self.ridge:g}")
         self.n, self.d = self.features.shape
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
@@ -161,21 +165,15 @@ class LogisticSum(FiniteSumProblem):
         t = self._margins(x)
         return float(np.mean(np.logaddexp(0.0, -t)) + 0.5 * self.ridge * (x @ x))
 
-    def eval_full_grad(self, x: np.ndarray) -> np.ndarray:
-        # one point only: the optimum solver calls this in its loop
-        self._check_dim(x)
-        coef = -self.labels * _sigmoid(-self._margins(x))
-        return (coef[:, None] * self.features).sum(axis=0) / self.n + self.ridge * x
-
 
 @dataclass(frozen=True)
 class ProblemConstants:
     """Certified constants of a problem: smoothness, curvature, optimum.
 
     sigma_star_sq = (1/n) sum_i ||grad f_i(x*)||^2 is the sampling variance at
-    the optimum; zeta_star_sq is the same quantity under the name used by the
-    compressed-gradient methods.  grads_at_star caches every component
-    gradient at x* for estimators that need them.
+    the optimum (the compressed-gradient literature calls it zeta*^2).
+    grads_at_star caches every component gradient at x* for estimators that
+    need them.
     """
 
     L: float
@@ -185,7 +183,6 @@ class ProblemConstants:
     x_star: np.ndarray
     f_star: float
     sigma_star_sq: float
-    zeta_star_sq: float
     grads_at_star: np.ndarray  # (n, d)
     min_curv_dir: np.ndarray | None = None  # unit eigenvector of the smallest average curvature
 
@@ -195,19 +192,33 @@ def _eigh_solve(evals: np.ndarray, evecs: np.ndarray, rhs: np.ndarray) -> np.nda
     return evecs @ ((evecs.T @ rhs) / evals)
 
 
-def _logistic_optimum(problem: LogisticSum, L: float) -> np.ndarray:
-    """Full-gradient descent with stepsize 1/L down to ||grad|| <= 1e-12 max(1, ||x||)."""
-    x = np.zeros(problem.d)
-    step = 1.0 / L
-    for _ in range(LOGISTIC_OPT_MAX_ITER):
-        g = problem.eval_full_grad(x)
-        if np.linalg.norm(g) <= LOGISTIC_OPT_TOL * max(1.0, float(np.linalg.norm(x))):
-            return x
-        x = x - step * g
-    raise ProblemError(
-        f"logistic optimum solver did not reach tolerance {LOGISTIC_OPT_TOL:g} "
-        f"within {LOGISTIC_OPT_MAX_ITER} iterations"
-    )
+def _logistic_optimum(problem: LogisticSum) -> np.ndarray:
+    """Newton's method from x = 0 with the Hessian A' diag(s(1-s)) A / n + ridge I.
+
+    Each step x - t H^{-1} g halves t from 1 until ||grad f|| <= (1 - t/2) ||g||:
+    the Newton direction descends ||grad f||^2 everywhere, while a test on f
+    stalls once f stops changing in floating point.  Stops at ||g|| <=
+    LOGISTIC_OPT_TOL max(1, ||x||), at the round-off floor (no t >= 2^-50
+    passes) or after 100 steps; compute_constants certifies the result.
+    """
+    A, x = problem.features, np.zeros(problem.d)
+    g = problem.eval_full_grad(x)
+    for _ in range(100):
+        g_norm = float(np.linalg.norm(g))
+        if g_norm <= LOGISTIC_OPT_TOL * max(1.0, float(np.linalg.norm(x))):
+            break
+        m = problem._margins(x)
+        hess = (A.T * (_sigmoid(m) * _sigmoid(-m))) @ A / problem.n + problem.ridge * np.eye(problem.d)
+        direction = np.linalg.solve(hess, g)
+        for t in 0.5 ** np.arange(51):
+            x_new = x - t * direction
+            g_new = problem.eval_full_grad(x_new)
+            if np.linalg.norm(g_new) <= (1.0 - 0.5 * t) * g_norm:
+                break
+        else:
+            break
+        x, g = x_new, g_new
+    return x
 
 
 def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
@@ -217,9 +228,10 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     through the eigendecomposition of the average matrix.  Logistic: L_i =
     0.25 ||a_i||^2 + ridge, L = 0.25 lmax((1/n) sum a_i a_i') + ridge, and
     mu = ridge (the only globally valid curvature lower bound); x* found by
-    deterministic full-gradient descent.
+    Newton's method.
 
-    Raises ProblemError when the certified mu is not strictly positive.
+    Raises ProblemError when mu is not strictly positive or x* fails the
+    certificate ||grad f(x*)|| <= OPT_GRAD_RTOL max(1, ||x*||).
     """
     if isinstance(problem, QuadraticSum):
         L_i = np.array([np.linalg.eigvalsh(problem.A[k])[-1] for k in range(problem.n)])
@@ -241,7 +253,7 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
         gram = problem.features.T @ problem.features / problem.n
         L = float(0.25 * np.linalg.eigvalsh(gram)[-1] + problem.ridge)
         mu = problem.ridge
-        x_star = _logistic_optimum(problem, L)
+        x_star = _logistic_optimum(problem)
         min_curv_dir = None
     else:
         raise TypeError(f"unsupported problem type {type(problem).__name__}")
@@ -249,7 +261,7 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     L_max = float(np.max(L_i))
     grads_at_star = problem.component_grads(x_star)
     grad_norm = float(np.linalg.norm(grads_at_star.sum(axis=0) / problem.n))
-    if grad_norm > OPT_GRAD_RTOL * max(1.0, float(np.linalg.norm(x_star))):
+    if not grad_norm <= OPT_GRAD_RTOL * max(1.0, float(np.linalg.norm(x_star))):
         raise ProblemError(f"optimum certificate failed: ||grad f(x*)|| = {grad_norm:g}")
     sigma_star_sq = float(np.mean(np.sum(grads_at_star**2, axis=1)))
     return ProblemConstants(
@@ -260,7 +272,6 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
         x_star=x_star,
         f_star=problem.eval_f(x_star),
         sigma_star_sq=sigma_star_sq,
-        zeta_star_sq=sigma_star_sq,
         grads_at_star=grads_at_star,
         min_curv_dir=min_curv_dir,
     )

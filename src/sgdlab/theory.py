@@ -91,11 +91,6 @@ def bound_curve(cert: Certificate, mu: float, gamma: float, M: float, V0: float)
     return BoundCurve(gamma=gamma, M=M, contraction=1.0 - rate, floor=floor, V0=V0)
 
 
-def bound_at(curve: BoundCurve, k) -> float | np.ndarray:
-    """Module-level alias for BoundCurve.bound_at."""
-    return curve.bound_at(k)
-
-
 def recursion_oracle(
     cert: Certificate, mu: float, gamma: float, M: float, V0: float, K: int
 ) -> np.ndarray:

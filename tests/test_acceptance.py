@@ -154,14 +154,14 @@ def test_criterion_05_cdgd_vs_diana_contrast():
     t0 = time.perf_counter()
     comp = RandK(k=1)
     omega = comp.omega(COMP.d)
-    assert omega == 4.0 and COMP_C.zeta_star_sq > 0
+    assert omega == 4.0 and COMP_C.sigma_star_sq > 0
 
     cdgd = ExperimentConfig(
         problem=COMP, estimator=CDGD(compressor=comp), steps=300, trials=2000,
         base_seed=505, record_every=1,
     )
     rc = cdgd.resolve()
-    floor = 2.0 * rc.gamma * omega * COMP_C.zeta_star_sq / (COMP.n * COMP_C.mu)
+    floor = 2.0 * rc.gamma * omega * COMP_C.sigma_star_sq / (COMP.n * COMP_C.mu)
     assert rc.curve.floor == pytest.approx(floor, rel=1e-12)
     stats_c = run_monte_carlo(rc)
     tail = tail_mean(stats_c.mean_dist_sq)
@@ -337,7 +337,7 @@ def test_criterion_09_theory_oracle():
     g_cd = max_stepsize(cd, COMP_C.mu, 0.0)
     curve = bound_curve(cd, COMP_C.mu, g_cd, 0.0, 1.0)
     assert curve.floor == pytest.approx(
-        2.0 * g_cd * omega * COMP_C.zeta_star_sq / (COMP.n * COMP_C.mu), rel=1e-12
+        2.0 * g_cd * omega * COMP_C.sigma_star_sq / (COMP.n * COMP_C.mu), rel=1e-12
     )
 
     di = DIANA(compressor=comp).certificate(COMP, COMP_C)

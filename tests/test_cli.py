@@ -4,6 +4,7 @@ import configparser
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,15 @@ def write(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _run_cli_process(*args):
+    # run the CLI in its own process so everything it writes to stderr is checked
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-m", "sgdlab.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def read_csv(path):
@@ -163,15 +173,9 @@ def test_oversized_gamma_reports_maximum(tmp_path, capsys):
 
 
 def test_diverging_run_is_a_one_line_error(tmp_path):
-    # a start at radius 1e200 overflows ||x0 - x*||^2; run the CLI in its own
-    # process so everything it writes to stderr is checked
+    # a start at radius 1e200 overflows ||x0 - x*||^2
     cfg = write(tmp_path, LSVRG_CONF.replace("[run]", "[run]\nx0_radius = 1e200"))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgdlab.cli", "run", "--config", cfg, "--out", str(tmp_path), "--quiet"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_cli_process("run", "--config", cfg, "--out", str(tmp_path), "--quiet")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
@@ -381,3 +385,96 @@ seed = 3
     assert cli.main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     _, rows = read_csv(out / "trajectory.csv")
     assert rows.shape[0] >= 2
+
+
+@pytest.mark.parametrize("ridge", ["1e-6", "1e-9"])
+def test_separable_small_ridge_logistic_run(tmp_path, ridge):
+    conf = f"""
+[problem]
+family = logistic
+n = 10
+d = 50
+seed = 7
+ridge = {ridge}
+
+[estimator]
+kind = sgd
+"""
+    cfg = write(tmp_path, conf)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+
+
+EXPLICIT_LOGISTIC = """
+[problem]
+family = logistic
+features = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]
+labels = [1, -1, 1]
+ridge = 0.5
+
+[estimator]
+kind = sgd
+
+[run]
+steps = 20
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[1.0, 0.0], [0.0, 1.0]", "[NaN, 0.0], [0.0, 1.0]"),
+        ("[1.0, 0.0], [0.0, 1.0]", "[Infinity, 0.0], [0.0, 1.0]"),
+        ("ridge = 0.5", "ridge = nan"),
+        ("ridge = 0.5", "ridge = inf"),
+        ("steps = 20", "steps = 20\ngamma = nan"),
+        ("steps = 20", "steps = 20\nx0_radius = nan"),
+        ("steps = 20", "steps = 20\nx0_radius = inf"),
+        ("kind = sgd", "kind = noisy_gd\nsigma = nan"),
+    ],
+    ids=["nan-feature", "inf-feature", "nan-ridge", "inf-ridge", "nan-gamma", "nan-radius", "inf-radius", "nan-sigma"],
+)
+def test_non_finite_input_is_a_one_line_config_error(tmp_path, capsys, old, new):
+    assert old in EXPLICIT_LOGISTIC
+    cfg = write(tmp_path, EXPLICIT_LOGISTIC.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
+
+
+def test_non_finite_quadratic_matrix_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, ISOTROPIC_GD.replace("[[[1.0, 0.0]", "[[[NaN, 0.0]"))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_is_a_one_line_error(tmp_path):
+    cfg = write(tmp_path, ISOTROPIC_GD)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    proc = _run_cli_process("run", "--config", cfg, "--out", str(blocker), "--quiet")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_verify_bound_passes_below_the_round_off_floor(tmp_path, capsys):
+    # DIANA reaches x* to float64 resolution long before step 1000, where the
+    # bound is 4.5e-37 and the mean V about 3.7e-30
+    conf = """
+[problem]
+family = quadratic
+n = 6
+d = 17
+seed = 5
+
+[estimator]
+kind = diana
+compressor = bernoulli
+q = 0.5
+"""
+    cfg = write(tmp_path, conf)
+    assert cli.main(["verify", "--config", cfg, "--points", "2", "--quiet"]) == 0
+    assert "PASS bound_domination" in capsys.readouterr().out

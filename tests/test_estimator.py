@@ -17,7 +17,6 @@ from sgdlab.estimator import (
     NoisyGradient,
     SGDStar,
     UniformSGD,
-    rsgc_certificate,
     rwgc_certificate,
 )
 from sgdlab.harness import STREAM_CHUNK, ExperimentConfig, run_trajectory, verify_assumption
@@ -83,7 +82,7 @@ def test_certificate_cdgd():
     c = CDGD(compressor=RandK(k=1)).certificate(PROBLEM, CONSTANTS)
     n = PROBLEM.n
     assert c.A == pytest.approx(CONSTANTS.L + 2 * omega * CONSTANTS.L_max / n, rel=1e-15)
-    assert c.D1 == pytest.approx(2 * omega * CONSTANTS.zeta_star_sq / n, rel=1e-15)
+    assert c.D1 == pytest.approx(2 * omega * CONSTANTS.sigma_star_sq / n, rel=1e-15)
     assert (c.B, c.C, c.D2, c.rho) == (0, 0, 0, 1)
 
 
@@ -107,7 +106,6 @@ def test_certificate_rcd():
 def test_growth_condition_presets():
     c = rwgc_certificate(rho_growth=1.5, L=2.0, sigma_sq=0.3)
     assert c.A == 3.0 and c.D1 == 0.3 and c.rho == 1.0 and not c.has_sigma
-    assert rsgc_certificate(1.5, 2.0, 0.3) == c
 
 
 @pytest.mark.parametrize("est", ALL_KINDS, ids=_ids(ALL_KINDS))
@@ -119,7 +117,6 @@ def test_certificate_formulas_evaluate_to_the_certificate(est):
         "L": CONSTANTS.L,
         "L_max": CONSTANTS.L_max,
         "sigma_star": math.sqrt(CONSTANTS.sigma_star_sq),
-        "zeta_star": math.sqrt(CONSTANTS.zeta_star_sq),
         "n": PROBLEM.n,
         "d": PROBLEM.d,
         "p": getattr(est, "p", None),

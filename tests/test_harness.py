@@ -318,3 +318,24 @@ def test_min_curvature_start_mode():
     (dist,), _ = run_trajectory(resolved, range(1))
     rate = (1.0 - resolved.gamma * cons.mu) ** 2
     np.testing.assert_allclose(dist[1:] / dist[:-1], rate, rtol=1e-10)
+
+
+def test_verify_bound_round_off_term_does_not_hide_a_too_fast_bound():
+    # GD from the least-curvature direction contracts V by exactly (1 - gamma mu)^2
+    # per step; a bound that claims twice that rate must fail while it is still
+    # far above the round-off floor
+    prob = random_quadratic(3, 4, eig_lo=1.0, eig_hi=4.0, shift_scale=1.0, seed=21)
+    cons = compute_constants(prob)
+    gamma = 0.1 / cons.L
+    cfg = ExperimentConfig(
+        problem=prob, estimator=FullGradient(), gamma=gamma, steps=200, x0_mode="min_curvature"
+    )
+    resolved = cfg.resolve()
+    assert verify_bound(run_monte_carlo(resolved)).passed
+    true_rate = 1.0 - (1.0 - gamma * cons.mu) ** 2
+    resolved.curve = dataclasses.replace(resolved.curve, contraction=1.0 - 2.0 * true_rate)
+    stats = run_monte_carlo(resolved)
+    assert stats.bound_V[-1] > 1e6 * stats.roundoff**2
+    report = verify_bound(stats)
+    assert not report.passed
+    assert any(c.name == f"bound[k={stats.ks[-1]}]" for c in report.checks if not c.passed)

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sgdlab.problem as problem_module
 from sgdlab.problem import (
+    OPT_GRAD_RTOL,
     LogisticSum,
     ProblemError,
     QuadraticSum,
@@ -87,7 +91,6 @@ def test_constants_heterogeneous_offsets():
     c = compute_constants(p)
     np.testing.assert_allclose(c.x_star, [0.0, 0.0], atol=1e-15)
     assert c.sigma_star_sq == pytest.approx(1.0, rel=1e-14)
-    assert c.zeta_star_sq == c.sigma_star_sq
 
 
 def test_quadratic_optimum_matches_dense_solve_oracle():
@@ -218,3 +221,42 @@ def test_generator_is_seeded_and_prescribes_spectrum():
         np.testing.assert_allclose(
             np.linalg.eigvalsh(p1.A[i]), np.linspace(1.0, 3.0, 4), rtol=1e-12
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from([(10, 50), (5, 20), (3, 8), (40, 4), (60, 3), (25, 1)]),
+    log_ridge=st.floats(-9.0, 1.0),
+    log_scale=st.floats(-3.0, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_logistic_optimum_meets_the_certificate(shape, log_ridge, log_scale, seed):
+    # separable (n < d) and non-separable (n > d) data, ridge down to 1e-9
+    n, d = shape
+    p = random_logistic(n, d, ridge=10.0**log_ridge, feature_scale=10.0**log_scale, seed=seed)
+    c = compute_constants(p)
+    grad_norm = np.linalg.norm(p.eval_full_grad(c.x_star))
+    assert grad_norm <= OPT_GRAD_RTOL * max(1.0, np.linalg.norm(c.x_star))
+
+
+def test_nan_optimum_fails_the_certificate(monkeypatch):
+    p = random_logistic(5, 3, ridge=0.1, seed=1)
+    monkeypatch.setattr(problem_module, "_logistic_optimum", lambda prob: np.full(prob.d, np.nan))
+    with pytest.raises(ProblemError, match="optimum certificate failed"):
+        compute_constants(p)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QuadraticSum(A=np.array([[[np.nan]]]), b=np.zeros((1, 1))),
+        lambda: QuadraticSum(A=np.eye(2)[None], b=np.array([[np.inf, 0.0]])),
+        lambda: LogisticSum(features=np.array([[np.nan, 1.0]]), labels=np.array([1.0]), ridge=0.1),
+        lambda: LogisticSum(features=np.eye(2), labels=np.array([1.0, -1.0]), ridge=np.inf),
+        lambda: LogisticSum(features=np.eye(2), labels=np.array([1.0, -1.0]), ridge=np.nan),
+    ],
+    ids=["quadratic-nan-matrix", "quadratic-inf-offset", "logistic-nan-feature", "ridge-inf", "ridge-nan"],
+)
+def test_rejects_non_finite_input(make):
+    with pytest.raises(ProblemError, match="finite"):
+        make()

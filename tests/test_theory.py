@@ -6,7 +6,6 @@ import pytest
 from sgdlab.estimator import Certificate
 from sgdlab.theory import (
     StepsizeError,
-    bound_at,
     bound_curve,
     default_M,
     max_stepsize,
@@ -103,7 +102,6 @@ def test_bound_at_values():
     curve = bound_curve(cert, mu=0.1, gamma=1.0, M=0.0, V0=1.0)
     assert curve.bound_at(0) == pytest.approx(1.0, rel=1e-15)
     assert curve.bound_at(10) == pytest.approx(0.9**10, rel=1e-15)  # 0.3486784401
-    assert bound_at(curve, 10) == curve.bound_at(10)
     assert curve.bound_at(10**4) < 1e-300  # underflows cleanly when D1 = D2 = 0
 
 
