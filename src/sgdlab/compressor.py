@@ -3,14 +3,19 @@
 Every compressor Q satisfies E[Q(x)] = x and E||Q(x) - x||^2 <= omega ||x||^2.
 Compression is split in two: draw takes the randomness for a whole array of
 vectors from a generator in a fixed order, and apply compresses each vector
-with its share of it; compress_batch is apply(X, draw(...)).  exact_moments
-enumerates the full outcome space and is the independent oracle for both
-properties wherever enumeration is tractable.
+with its share of it; compress_batch is apply(X, draw(...)).
+
+outcomes(d) lists every outcome s: the kept coordinates keep[s], scaled by one
+common factor, with probability prob[s].  exact_moments sums over that table,
+never calling draw or apply: it is the independent oracle for both properties.
+The table has C(d, k) rows for rand_k and 2^d for Bernoulli, so above
+RANDK_ENUM_LIMIT rows or BERNOULLI_ENUM_LIMIT coordinates outcomes raises
+UnsupportedSizeError and the verifier samples instead.  Both moments are sums
+over coordinates, so a per-coordinate enumeration could drop these limits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,13 +51,26 @@ class Compressor:
         X = np.asarray(X, dtype=float)
         return self.apply(X, self.draw(rng, X.shape[:-1], X.shape[-1]))
 
-    def compress(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Compress a single vector."""
-        return self.compress_batch(np.asarray(x, dtype=float)[None, :], rng)[0]
+    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """The outcome table for dimension d: keep (S, d) bool, prob (S,), scale.
 
-    def exact_moments(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Exact (E[Q(x)], E||Q(x) - x||^2) by enumerating all outcomes."""
+        Outcome s maps x to scale * x on the coordinates keep[s] and to 0
+        elsewhere.  Raises UnsupportedSizeError where the table is too large.
+        """
         raise NotImplementedError
+
+    def exact_moments(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact (E[Q(x)], E||Q(x) - x||^2) of every vector x in X (..., d), summed over the outcome table.
+
+        Returns means (..., d) and mean squared errors (...); row i equals the
+        call on X[i] bit for bit.  Memory is O(S (d + rows)), never (rows, S, d).
+        """
+        X = np.asarray(X, dtype=float)
+        keep, prob, scale = self.outcomes(X.shape[-1])
+        # squared error of outcome s: a kept coordinate adds (scale - 1)^2 x_j^2, a dropped one x_j^2
+        err = np.einsum("sd,...d->...s", np.where(keep, (scale - 1.0) ** 2, 1.0), X * X)
+        mean = scale * np.einsum("s,sd->d", prob, keep) * X
+        return mean, (err * prob).sum(axis=-1)  # a sum along the last axis keeps rows independent
 
     def describe(self) -> str:
         return self.name
@@ -73,8 +91,8 @@ class Identity(Compressor):
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return np.array(X, dtype=float, copy=True)
 
-    def exact_moments(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        return np.array(x, dtype=float, copy=True), 0.0
+    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+        return np.ones((1, d), dtype=bool), np.ones(1), 1.0
 
     def describe(self) -> str:
         return "identity (omega = 0)"
@@ -119,22 +137,23 @@ class RandK(Compressor):
         out[rows, keep] = flat[rows, keep] * (d / self.k)
         return out.reshape(X.shape)
 
-    def exact_moments(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        x = np.asarray(x, dtype=float)
-        d = x.size
+    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """The C(d, k) subsets in lexicographic order, each with probability 1/C(d, k)."""
         self._check(d)
         total = math.comb(d, self.k)
         if total > RANDK_ENUM_LIMIT:
             raise UnsupportedSizeError(f"C({d},{self.k}) = {total} outcomes exceed {RANDK_ENUM_LIMIT}")
-        prob = 1.0 / total
-        mean = np.zeros(d)
-        mse = 0.0
-        for subset in itertools.combinations(range(d), self.k):
-            out = np.zeros(d)
-            out[list(subset)] = x[list(subset)] * (d / self.k)
-            mean += prob * out
-            mse += prob * float(np.sum((out - x) ** 2))
-        return mean, mse
+        # increasing index prefixes that still extend to k indices; position j takes last + 1 .. d - k + j
+        idx = np.arange(d - self.k + 1)[:, None]
+        for j in range(1, self.k):
+            last = idx[:, -1]
+            counts = d - self.k + j - last
+            ends = np.cumsum(counts)
+            nxt = np.arange(ends[-1]) + np.repeat(last + 1 - (ends - counts), counts)
+            idx = np.column_stack([np.repeat(idx, counts, axis=0), nxt])
+        keep = np.zeros((total, d), dtype=bool)
+        keep[np.arange(total)[:, None], idx] = True
+        return keep, np.full(total, 1.0 / total), d / self.k
 
     def describe(self) -> str:
         return f"rand_k (k = {self.k}, omega = d/k - 1)"
@@ -164,21 +183,13 @@ class BernoulliScale(Compressor):
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return np.where(draws, X / self.q, 0.0)
 
-    def exact_moments(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        x = np.asarray(x, dtype=float)
-        d = x.size
+    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """The 2^d keep masks, row s keeping the coordinates of the set bits of s."""
         if d > BERNOULLI_ENUM_LIMIT:
             raise UnsupportedSizeError(f"2^{d} outcomes exceed 2^{BERNOULLI_ENUM_LIMIT}")
-        mean = np.zeros(d)
-        mse = 0.0
-        for mask_bits in range(2**d):
-            mask = np.array([(mask_bits >> j) & 1 for j in range(d)], dtype=bool)
-            nkeep = int(mask.sum())
-            prob = self.q**nkeep * (1.0 - self.q) ** (d - nkeep)
-            out = np.where(mask, x / self.q, 0.0)
-            mean += prob * out
-            mse += prob * float(np.sum((out - x) ** 2))
-        return mean, mse
+        keep = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(bool)
+        kept = keep.sum(axis=1)
+        return keep, self.q**kept * (1.0 - self.q) ** (d - kept), 1.0 / self.q
 
     def describe(self) -> str:
         return f"bernoulli (q = {self.q:g}, omega = 1/q - 1)"

@@ -121,6 +121,14 @@ def shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float | np
     return np.einsum("...ij,...ij->...", diff, diff) / diff.shape[-2]
 
 
+def _compressed_moments(compressor: Compressor, V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """compressor.exact_moments of the worker vectors V (n, d), or None where its outcome table is too large."""
+    try:
+        return compressor.exact_moments(V)
+    except UnsupportedSizeError:
+        return None
+
+
 class Estimator:
     """Base class; subclasses implement one batched sampling rule each."""
 
@@ -362,21 +370,17 @@ class CDGD(Estimator):
         )
 
     def exact_mean(self, problem, constants, state, x):
-        try:
-            means = [self.compressor.exact_moments(v)[0] for v in problem.component_grads(x)]
-        except UnsupportedSizeError:
-            return None
-        return np.sum(means, axis=0) / problem.n
+        moments = _compressed_moments(self.compressor, problem.component_grads(x))
+        return None if moments is None else moments[0].sum(axis=0) / problem.n
 
     def exact_second_moment(self, problem, constants, state, x):
         # independent workers: E||g||^2 = ||grad f(x)||^2 + (1/n^2) sum_i mse_i
         grads = problem.component_grads(x)
-        try:
-            mse = [self.compressor.exact_moments(v)[1] for v in grads]
-        except UnsupportedSizeError:
+        moments = _compressed_moments(self.compressor, grads)
+        if moments is None:
             return None
         full = grads.sum(axis=0) / problem.n
-        return float(full @ full + sum(mse) / problem.n**2)
+        return float(full @ full + moments[1].sum() / problem.n**2)
 
     def describe(self) -> str:
         return f"compressed distributed gradient descent [{self.compressor.describe()}]"
@@ -429,35 +433,29 @@ class DIANA(Estimator):
         )
 
     def exact_mean(self, problem, constants, state, x):
-        grads = problem.component_grads(x)
-        try:
-            means = [self.compressor.exact_moments(v)[0] for v in grads - state.shifts]
-        except UnsupportedSizeError:
-            return None
-        return (state.shifts + np.asarray(means)).sum(axis=0) / problem.n
+        moments = _compressed_moments(self.compressor, problem.component_grads(x) - state.shifts)
+        return None if moments is None else (state.shifts + moments[0]).sum(axis=0) / problem.n
 
     def exact_second_moment(self, problem, constants, state, x):
         grads = problem.component_grads(x)
-        try:
-            mse = [self.compressor.exact_moments(v)[1] for v in grads - state.shifts]
-        except UnsupportedSizeError:
+        moments = _compressed_moments(self.compressor, grads - state.shifts)
+        if moments is None:
             return None
         full = grads.sum(axis=0) / problem.n
-        return float(full @ full + sum(mse) / problem.n**2)
+        return float(full @ full + moments[1].sum() / problem.n**2)
 
     def exact_sigma_next(self, problem, constants, state, x):
         alpha = self.resolved_alpha(problem.d)
         u = problem.component_grads(x) - state.shifts
         e = state.shifts - constants.grads_at_star
-        try:
-            mse = np.array([self.compressor.exact_moments(v)[1] for v in u])
-        except UnsupportedSizeError:
+        moments = _compressed_moments(self.compressor, u)
+        if moments is None:
             return None
-        # E||e_i + alpha Delta_i||^2 with E[Delta_i] = u_i, E||Delta_i||^2 = ||u_i||^2 + mse_i
+        # E||e_i + alpha Delta_i||^2 with E[Delta_i] = u_i, E||Delta_i||^2 = ||u_i||^2 + mse_i = moments[1][i]
         per_worker = (
             np.sum(e**2, axis=1)
             + 2.0 * alpha * np.sum(e * u, axis=1)
-            + alpha**2 * (np.sum(u**2, axis=1) + mse)
+            + alpha**2 * (np.sum(u**2, axis=1) + moments[1])
         )
         return float(np.mean(per_worker))
 

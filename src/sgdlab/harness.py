@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compressor import UnsupportedSizeError
 from .estimator import Certificate, Estimator, EstimatorState, shift_quality
 from .problem import FiniteSumProblem, ProblemConstants, compute_constants
 from .theory import BoundCurve, bound_curve, default_M, max_stepsize
@@ -503,15 +504,35 @@ def verify_bound(
     return report
 
 
+def _compression_moments(compressor, x: np.ndarray, rng, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and standard error of (Q(x), ||Q(x) - x||^2) over `samples` compressions of x.
+
+    One draw from rng (compress_batch's stream), applied in chunks of the memory budget whose
+    (count, mean, squared deviations) merge by Chan et al.'s update.  Entry d is the squared error.
+    """
+    d = x.size
+    draws = compressor.draw(rng, (samples,), d)
+    chunk = max(1, BLOCK_BYTES // (8 * ROW_TEMPS * d))
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, samples, chunk):
+        Q = compressor.apply(np.tile(x, (min(chunk, samples - start), 1)), draws[start : start + chunk])
+        V = np.column_stack([Q, np.sum((Q - x) ** 2, axis=1)])
+        part_mean = V.mean(axis=0)
+        delta, total = part_mean - mean, count + len(V)
+        mean = mean + delta * (len(V) / total)
+        m2 = m2 + np.sum((V - part_mean) ** 2, axis=0) + delta**2 * (count * len(V) / total)
+        count = total
+    return mean, np.sqrt(m2 / (samples - 1) / samples)
+
+
 def verify_compressor(compressor, d: int, seed: int = 0, num_vectors: int = 5) -> Report:
     """Check unbiasedness and the omega variance certificate on probe vectors.
 
-    Uses exact enumeration when supported, otherwise 10^5 sampled
-    compressions with a 4-standard-error slack; the sampled variance check
-    also allows the exact check's round-off, 1e-12 * omega * ||x||^2.
+    Exact from the compressor's outcome table (exact_moments) up to a relative
+    1e-12.  Beyond the table limits (over 10^4 rand_k subsets, d > 16 for
+    Bernoulli) each probe is compressed 10^5 times with a 4-standard-error
+    slack; the sampled variance check also allows the exact check's round-off.
     """
-    from .compressor import UnsupportedSizeError
-
     rng = np.random.default_rng([seed, VERIFY_STREAM, 2**33])
     omega = compressor.omega(d)
     report = Report(title=f"compressor[{compressor.name}]")
@@ -521,44 +542,14 @@ def verify_compressor(compressor, d: int, seed: int = 0, num_vectors: int = 5) -
         norm_sq = float(x @ x)
         try:
             mean, mse = compressor.exact_moments(x)
-            bias = float(np.max(np.abs(mean - x)))
-            report.checks.append(
-                Check(
-                    name=f"unbiased[{idx}]",
-                    margin=1e-12 * max(1.0, norm_sq) - bias,
-                    tol=0.0,
-                    exact=True,
-                )
-            )
-            report.checks.append(
-                Check(
-                    name=f"variance[{idx}]",
-                    margin=omega * norm_sq * (1.0 + 1e-12) - mse,
-                    tol=0.0,
-                    exact=True,
-                )
-            )
+            unbiased = (1e-12 * max(1.0, norm_sq) - float(np.max(np.abs(mean - x))), 0.0)
+            variance = (omega * norm_sq * (1.0 + 1e-12) - float(mse), 0.0)
+            exact = True
         except UnsupportedSizeError:
-            samples = 10**5
-            draws = compressor.compress_batch(np.tile(x, (samples, 1)), rng)
-            se_mean = draws.std(axis=0, ddof=1) / math.sqrt(samples)
-            bias = np.abs(draws.mean(axis=0) - x)
-            report.checks.append(
-                Check(
-                    name=f"unbiased[{idx}]",
-                    margin=float(np.min(4.0 * se_mean - bias)),
-                    tol=0.0,
-                    exact=False,
-                )
-            )
-            err = np.sum((draws - x) ** 2, axis=1)
-            se_mse = float(err.std(ddof=1) / math.sqrt(samples))
-            report.checks.append(
-                Check(
-                    name=f"variance[{idx}]",
-                    margin=omega * norm_sq - float(err.mean()),
-                    tol=4.0 * se_mse + 1e-12 * omega * norm_sq,
-                    exact=False,
-                )
-            )
+            mean, se = _compression_moments(compressor, x, rng, 10**5)
+            unbiased = (float(np.min(4.0 * se[:d] - np.abs(mean[:d] - x))), 0.0)
+            variance = (omega * norm_sq - float(mean[d]), 4.0 * float(se[d]) + 1e-12 * omega * norm_sq)
+            exact = False
+        report.checks.append(Check(f"unbiased[{idx}]", *unbiased, exact=exact))
+        report.checks.append(Check(f"variance[{idx}]", *variance, exact=exact))
     return report

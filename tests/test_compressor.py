@@ -1,15 +1,20 @@
 """Compressor properties: unbiasedness, variance certificate, determinism."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgdlab.compressor import BernoulliScale, Identity, RandK, UnsupportedSizeError
+from sgdlab.compressor import BernoulliScale, Compressor, Identity, RandK, UnsupportedSizeError
 
 
 def test_identity_passthrough():
     x = np.array([1.0, 2.0, 3.0])
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(Identity().compress(x, rng), x)
+    np.testing.assert_array_equal(Identity().compress_batch(x[None, :], rng)[0], x)
     mean, mse = Identity().exact_moments(x)
     np.testing.assert_array_equal(mean, x)
     assert mse == 0.0
@@ -25,7 +30,7 @@ def test_randk_three_outcome_enumeration():
     assert mse == pytest.approx(50.0, rel=1e-15)
     assert comp.omega(3) == 2.0
     rng = np.random.default_rng(5)
-    outcomes = {tuple(comp.compress(x, rng)) for _ in range(200)}
+    outcomes = {tuple(row) for row in comp.compress_batch(np.tile(x, (200, 1)), rng)}
     assert outcomes == {(9.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 12.0)}
 
 
@@ -33,8 +38,8 @@ def test_bernoulli_keep_all_is_degenerate():
     x = np.array([1.5, -2.0, 0.25])
     comp = BernoulliScale(q=1.0)
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        np.testing.assert_array_equal(comp.compress(x, rng), x)
+    for row in comp.compress_batch(np.tile(x, (20, 1)), rng):
+        np.testing.assert_array_equal(row, x)
 
 
 def test_bernoulli_two_outcome_enumeration():
@@ -68,9 +73,8 @@ def test_statistical_unbiasedness(comp):
     d, samples = 5, 10**5
     rng = np.random.default_rng(99)
     x = np.array([1.0, -2.0, 0.0, 3.0, 0.5])
-    draws = np.empty((samples, d))
-    for s in range(samples):
-        draws[s] = comp.compress(x, rng)
+    draws = comp.compress_batch(np.tile(x, (samples, 1)), rng)
+    assert draws.shape == (samples, d)
     se = draws.std(axis=0, ddof=1) / np.sqrt(samples)
     dev = np.abs(draws.mean(axis=0) - x)
     assert np.all(dev <= 4.0 * se + 1e-12)
@@ -79,8 +83,8 @@ def test_statistical_unbiasedness(comp):
 def test_determinism():
     x = np.arange(6, dtype=float)
     for comp in (RandK(k=2), BernoulliScale(q=0.7), Identity()):
-        a = comp.compress(x, np.random.default_rng(123))
-        b = comp.compress(x, np.random.default_rng(123))
+        a = comp.compress_batch(x[None, :], np.random.default_rng(123))
+        b = comp.compress_batch(x[None, :], np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
 
@@ -95,7 +99,7 @@ def test_batch_rows_match_compressor_distribution():
 
 def test_configuration_errors():
     with pytest.raises(ValueError, match="1 <= k <= d"):
-        RandK(k=4).compress(np.zeros(3), np.random.default_rng(0))
+        RandK(k=4).compress_batch(np.zeros((1, 3)), np.random.default_rng(0))
     with pytest.raises(ValueError, match="keep probability"):
         BernoulliScale(q=0.0)
     with pytest.raises(ValueError, match="keep probability"):
@@ -107,3 +111,94 @@ def test_enumeration_size_limits():
         RandK(k=10).exact_moments(np.zeros(50))
     with pytest.raises(UnsupportedSizeError):
         BernoulliScale(q=0.5).exact_moments(np.zeros(17))
+
+
+def _reference_moments(comp, x):
+    """(E[Q(x)], E||Q(x) - x||^2) by a Python loop over every outcome, one vector at a time."""
+    d = x.size
+    if isinstance(comp, RandK):
+        subsets = list(itertools.combinations(range(d), comp.k))
+        outcomes = [(list(sub), 1.0 / len(subsets), d / comp.k) for sub in subsets]
+    else:
+        outcomes = []
+        for bits in range(2**d):
+            sub = [j for j in range(d) if (bits >> j) & 1]
+            outcomes.append((sub, comp.q ** len(sub) * (1.0 - comp.q) ** (d - len(sub)), 1.0 / comp.q))
+    mean, mse = np.zeros(d), 0.0
+    for sub, prob, scale in outcomes:
+        out = np.zeros(d)
+        out[sub] = x[sub] * scale
+        mean += prob * out
+        mse += prob * float(np.sum((out - x) ** 2))
+    return mean, mse
+
+
+@st.composite
+def _compressor_and_vectors(draw):
+    d = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        comp = RandK(k=draw(st.integers(1, d)))
+    else:
+        comp = BernoulliScale(q=draw(st.floats(1e-3, 1.0, exclude_min=True)))
+    # zeros and magnitudes from 1e-6 to 1e6
+    sign = st.sampled_from([-1.0, 1.0])
+    magnitude = st.builds(lambda s, m, e: s * m * 10.0**e, sign, st.floats(1.0, 10.0), st.integers(-6, 5))
+    coord = st.one_of(st.just(0.0), magnitude)
+    rows = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=rows, max_size=rows)))
+    return comp, X
+
+
+@settings(max_examples=80, deadline=None)
+@given(_compressor_and_vectors())
+def test_exact_moments_match_a_per_outcome_loop(case):
+    comp, X = case
+    means, mses = comp.exact_moments(X)
+    assert means.shape == X.shape and mses.shape == X.shape[:1]
+    for i, x in enumerate(X):
+        ref_mean, ref_mse = _reference_moments(comp, x)
+        np.testing.assert_allclose(means[i], ref_mean, rtol=1e-12, atol=0)
+        assert mses[i] == pytest.approx(ref_mse, rel=1e-12, abs=0)
+        mean, mse = comp.exact_moments(x)  # row i of the stacked call, bit for bit
+        np.testing.assert_array_equal(mean, means[i])
+        assert mse == mses[i]
+
+
+def test_outcome_tables():
+    for d in range(1, 8):
+        for k in range(1, d + 1):
+            keep, prob, scale = RandK(k=k).outcomes(d)
+            assert [tuple(np.flatnonzero(row)) for row in keep] == list(itertools.combinations(range(d), k))
+            assert prob.sum() == pytest.approx(1.0, rel=1e-14) and scale == d / k
+    keep, prob, scale = BernoulliScale(q=0.25).outcomes(3)
+    assert keep.shape == (8, 3) and keep[5].tolist() == [True, False, True]
+    assert prob[5] == 0.25**2 * 0.75 and scale == 4.0
+    keep, prob, scale = Identity().outcomes(4)
+    assert keep.tolist() == [[True] * 4] and prob.tolist() == [1.0] and scale == 1.0
+
+
+def test_exact_oracles_never_compress(monkeypatch):
+    """The oracles judge draw/apply, so they must not call them."""
+    from sgdlab.estimator import CDGD, DIANA
+    from sgdlab.problem import compute_constants, random_quadratic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact oracle called the compression kernel")
+
+    for method in ("draw", "apply"):
+        for cls in (Compressor, Identity, RandK, BernoulliScale):
+            monkeypatch.setattr(cls, method, refuse)
+    problem = random_quadratic(4, 6, seed=3)
+    constants = compute_constants(problem)
+    x = constants.x_star + 0.5
+    for comp in (Identity(), RandK(k=2), BernoulliScale(q=0.3)):
+        mean, mse = comp.exact_moments(np.ones((2, 6)))
+        np.testing.assert_allclose(mean, 1.0, rtol=1e-12)
+        assert mse == pytest.approx(comp.omega(6) * 6.0, rel=1e-12)
+        for est in (CDGD(compressor=comp), DIANA(compressor=comp)):
+            state = est.init_state(problem, constants, x)
+            np.testing.assert_allclose(
+                est.exact_mean(problem, constants, state, x), problem.eval_full_grad(x), rtol=1e-10, atol=1e-12
+            )
+            assert math.isfinite(est.exact_second_moment(problem, constants, state, x))
+        assert math.isfinite(DIANA(compressor=comp).exact_sigma_next(problem, constants, state, x))

@@ -9,6 +9,7 @@ import pytest
 from sgdlab.compressor import BernoulliScale, RandK
 from sgdlab.estimator import CDGD, DIANA, LSVRG, RCD, FullGradient, SGDStar, UniformSGD
 from sgdlab.harness import (
+    VERIFY_STREAM,
     ExperimentConfig,
     TrajectoryError,
     _mc_moments,
@@ -222,6 +223,29 @@ def test_sampled_compressor_check_catches_halved_omega():
     variance = [c for c in report.checks if c.name.startswith("variance[")]
     assert len(variance) == 5 and not any(c.exact for c in variance)
     assert not any(c.passed for c in variance)
+
+
+@pytest.mark.parametrize("comp,d", [(BernoulliScale(q=0.5), 17), (RandK(k=5), 30)], ids=["bernoulli", "randk"])
+def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
+    """Chunked compressions with merged moments give the margins of all 10^5 compressions at once."""
+    samples, omega = 10**5, comp.omega(d)
+    report = verify_compressor(comp, d, seed=5)
+    rng = np.random.default_rng([5, VERIFY_STREAM, 2**33])
+    probes = [rng.standard_normal(d) for _ in range(4)] + [np.ones(d)]
+    for idx, x in enumerate(probes):
+        norm_sq = float(x @ x)
+        draws = comp.compress_batch(np.tile(x, (samples, 1)), rng)
+        se_mean = draws.std(axis=0, ddof=1) / math.sqrt(samples)
+        err = np.sum((draws - x) ** 2, axis=1)
+        se_err = float(err.std(ddof=1)) / math.sqrt(samples)
+        expected = [
+            (float(np.min(4.0 * se_mean - np.abs(draws.mean(axis=0) - x))), 0.0),
+            (omega * norm_sq - float(err.mean()), 4.0 * se_err + 1e-12 * omega * norm_sq),
+        ]
+        for check, (margin, tol) in zip(report.checks[2 * idx : 2 * idx + 2], expected):
+            assert not check.exact and check.passed
+            assert check.margin == pytest.approx(margin, rel=0, abs=1e-12 * omega * norm_sq)
+            assert check.tol == pytest.approx(tol, rel=0, abs=1e-12 * omega * norm_sq)
 
 
 def test_variance_reduction_signature():
