@@ -3,7 +3,11 @@
 Every compressor Q satisfies E[Q(x)] = x and E||Q(x) - x||^2 <= omega ||x||^2.
 Compression is split in two: draw takes the randomness for a whole array of
 vectors from a generator in a fixed order, and apply compresses each vector
-with its share of it; compress_batch is apply(X, draw(...)).
+with its share of it; compress_batch is apply(X, draw(...)).  apply broadcasts
+X against the leading shape of draws, so one vector shared by many draws is
+never tiled.  Bernoulli draws fill their keep mask in blocks of rows from one
+reused buffer of DRAW_BUFFER_BYTES; rng.random fills rows in C order, so the
+stream is the one of a single rng.random(shape + (d,)) call.
 
 outcomes(d) lists every outcome s: the kept coordinates keep[s], scaled by one
 common factor, with probability prob[s].  exact_moments sums over that table,
@@ -23,6 +27,7 @@ import numpy as np
 
 RANDK_ENUM_LIMIT = 10**4
 BERNOULLI_ENUM_LIMIT = 16
+DRAW_BUFFER_BYTES = 2**17  # uniforms a Bernoulli draw holds at a time
 
 
 class UnsupportedSizeError(ValueError):
@@ -43,7 +48,7 @@ class Compressor:
         raise NotImplementedError
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Compress each vector X[..., :] with its entry of draws."""
+        """Compress each vector X[..., :] with its entry of draws; X broadcasts against draws."""
         raise NotImplementedError
 
     def compress_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -89,7 +94,7 @@ class Identity(Compressor):
         return np.empty(shape + (0,), dtype=bool)  # nothing to draw
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        return np.array(X, dtype=float, copy=True)
+        return np.array(np.broadcast_to(X, draws.shape[:-1] + X.shape[-1:]), dtype=float)
 
     def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
         return np.ones((1, d), dtype=bool), np.ones(1), 1.0
@@ -131,11 +136,11 @@ class RandK(Compressor):
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         d = X.shape[-1]
-        flat, keep = X.reshape(-1, d), draws.reshape(-1, self.k)
-        rows = np.arange(len(flat))[:, None]
-        out = np.zeros_like(flat)
-        out[rows, keep] = flat[rows, keep] * (d / self.k)
-        return out.reshape(X.shape)
+        lead = np.broadcast_shapes(X.shape[:-1], draws.shape[:-1])
+        X, keep = np.broadcast_to(X, lead + (d,)), np.broadcast_to(draws, lead + (self.k,))
+        out = np.zeros(lead + (d,))
+        np.put_along_axis(out, keep, np.take_along_axis(X, keep, axis=-1) * (d / self.k), axis=-1)
+        return out
 
     def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
         """The C(d, k) subsets in lexicographic order, each with probability 1/C(d, k)."""
@@ -177,8 +182,15 @@ class BernoulliScale(Compressor):
         return 1.0 / self.q - 1.0
 
     def draw(self, rng: np.random.Generator, shape: tuple[int, ...], d: int) -> np.ndarray:
-        """The keep mask, shape + (d,)."""
-        return rng.random(shape + (d,)) < self.q
+        """The keep mask, shape + (d,): rng.random(shape + (d,)) < q, filled in blocks of rows."""
+        keep = np.empty(shape + (d,), dtype=bool)
+        rows = keep.reshape(-1, d)
+        buf = np.empty((max(1, DRAW_BUFFER_BYTES // (8 * d)), d))
+        for start in range(0, len(rows), len(buf)):
+            part = buf[: len(rows) - start]
+            rng.random(out=part)
+            np.less(part, self.q, out=rows[start : start + len(part)])
+        return keep
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return np.where(draws, X / self.q, 0.0)

@@ -14,7 +14,10 @@ draw(problem, rng, m) takes the randomness of m steps of one trajectory (or of
 m replicas of one step) from rng in a fixed order; step(problem, constants, X,
 state, draws) returns the estimates G (R, d) at the R rows of X and advances
 the batched state in place.  Row r of the result depends only on row r of the
-inputs.  Draw order per kind (m entries each, in this order):
+inputs.  X may also be one row (1, d) shared by all R rows of the state and
+draws, as for the replicas of one verifier point: the result is then, bit for
+bit, the one for X tiled R times, and G may keep one row where it depends on
+neither (gd).  Draw order per kind (m entries each, in this order):
 
     gd                  nothing
     sgd, sgd_star       rng.integers(n, size=m)
@@ -151,9 +154,10 @@ class Estimator:
         state: EstimatorState,
         draws,
     ) -> np.ndarray:
-        """Estimates G (R, d) at the rows of X (R, d); advances the batched state in place.
+        """Estimates G (R, d) at the rows of X (R, d) or (1, d); advances the batched state in place.
 
-        draws holds one entry per row along the leading axis of each array.
+        draws holds one entry per row along the leading axis of each array; a
+        one-row X is shared by all rows.
         """
         raise NotImplementedError
 
@@ -314,11 +318,12 @@ class LSVRG(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         i, coin = draws
-        G = problem.eval_grad_i(i, X) - state.shifts[np.arange(len(X)), i] + state.shift_mean
+        G = problem.eval_grad_i(i, X) - state.shifts[np.arange(len(i)), i] + state.shift_mean
         hit = np.flatnonzero(coin < self.p)
         if hit.size:
+            # a one-row X is shared by every row, so its one anchor fills every hit row
             state.sigma_sq[hit], state.shifts[hit], state.shift_mean[hit] = self._anchor(
-                problem, constants, X[hit]
+                problem, constants, X if len(X) == 1 else X[hit]
             )
         return G
 
@@ -475,9 +480,11 @@ class RCD(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         (j,) = draws
-        rows = np.arange(len(X))
-        G = np.zeros_like(X)
-        G[rows, j] = problem.d * problem.full_grads(X)[rows, j]
+        rows = np.arange(len(j))
+        G = np.zeros((len(j), problem.d))
+        F = problem.full_grads(X)
+        # a one-row X is shared by every row
+        G[rows, j] = problem.d * (F[0, j] if len(F) == 1 else F[rows, j])
         return G
 
     def certificate(self, problem, constants):

@@ -14,8 +14,10 @@ steps (a full chunk even when fewer steps remain, so steps 1..K do not depend
 on K), the initial direction from default_rng([base_seed, 1]), verification
 point j from default_rng([base_seed, 2, j]).  Every batched contraction is an
 np.einsum, whose rows do not depend on the batch size, so results are bitwise
-the same however trials are split into blocks and replicas into chunks; both
-are sized from the fixed memory budget BLOCK_BYTES.
+the same however trials are split into blocks and replicas into chunks.  Trial
+blocks are sized from the memory budget BLOCK_BYTES.  Verifier replicas share
+their point as one row that is evaluated once, and stream through chunks of
+REPLICA_BYTES per (rows, n, d) array, small enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ VERIFY_STREAM = 2
 STREAM_LAYOUT = 2  # version of the draw order documented in estimator.py, recorded in the manifest
 STREAM_CHUNK = 256  # steps a trial draws at a time
 
-BLOCK_BYTES = 16 * 2**20  # memory budget of one trial block or replica chunk
+BLOCK_BYTES = 16 * 2**20  # memory budget of one trial block
 ROW_TEMPS = 6  # (n, d) float arrays one row of a step holds: state, gradients, temporaries
+REPLICA_BYTES = 2**17  # size of one (rows, n, d) float array of a verifier replica chunk
 
 DEFAULT_SLACK_REL = 0.1
 DEFAULT_SLACK_STAT = 4.0
@@ -327,18 +330,18 @@ def _mc_moments(est, problem, constants, state, x, rng, samples):
     """Monte-Carlo E||g||^2 and E[sigma_next^2] from one step of `samples` replicas.
 
     Every replica starts from (x, state); their randomness is one draw of
-    `samples` steps from rng, and they run in chunks of the memory budget.
+    `samples` steps from rng, and they run in chunks of REPLICA_BYTES per
+    (rows, n, d) array, all sharing the one row x.
     Returns ((mean, standard error), (mean, standard error)) in that order.
     """
     draws = est.draw(problem, rng, samples)
-    chunk = _rows_per_block(problem, 0)
+    chunk = max(1, REPLICA_BYTES // (8 * problem.n * problem.d))
     sq = np.empty(samples)
     sig = np.empty(samples)
     for start in range(0, samples, chunk):
         stop = min(samples, start + chunk)
         batch = state.tile(stop - start)
-        X = np.tile(x, (stop - start, 1))
-        G = est.step(problem, constants, X, batch, [a[start:stop] for a in draws])
+        G = est.step(problem, constants, x[None], batch, [a[start:stop] for a in draws])
         sq[start:stop] = np.einsum("rd,rd->r", G, G)
         sig[start:stop] = batch.sigma_sq
     return tuple((float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples))) for v in (sq, sig))
@@ -505,24 +508,32 @@ def verify_bound(
 
 
 def _compression_moments(compressor, x: np.ndarray, rng, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and standard error of (Q(x), ||Q(x) - x||^2) over `samples` compressions of x.
+    """Sample mean and standard error of (Q(x) - x, ||Q(x) - x||^2) over `samples` compressions of x.
 
-    One draw from rng (compress_batch's stream), applied in chunks of the memory budget whose
-    (count, mean, squared deviations) merge by Chan et al.'s update.  Entry d is the squared error.
+    One draw from rng (compress_batch's stream), applied to x in chunks of REPLICA_BYTES.  Each
+    chunk adds to the sums of the values and of their squares.  Entry d is the squared error;
+    its sums are taken about the first chunk's mean, so that they do not cancel.
     """
     d = x.size
     draws = compressor.draw(rng, (samples,), d)
-    chunk = max(1, BLOCK_BYTES // (8 * ROW_TEMPS * d))
-    count, mean, m2 = 0, 0.0, 0.0
+    chunk = max(1, REPLICA_BYTES // (8 * d))
+    total, total_sq, centre = np.zeros(d + 1), np.zeros(d + 1), None
     for start in range(0, samples, chunk):
-        Q = compressor.apply(np.tile(x, (min(chunk, samples - start), 1)), draws[start : start + chunk])
-        V = np.column_stack([Q, np.sum((Q - x) ** 2, axis=1)])
-        part_mean = V.mean(axis=0)
-        delta, total = part_mean - mean, count + len(V)
-        mean = mean + delta * (len(V) / total)
-        m2 = m2 + np.sum((V - part_mean) ** 2, axis=0) + delta**2 * (count * len(V) / total)
-        count = total
-    return mean, np.sqrt(m2 / (samples - 1) / samples)
+        E = compressor.apply(x, draws[start : start + chunk])
+        E -= x
+        E2 = E * E
+        err = np.einsum("rd->r", E2)
+        if centre is None:
+            centre = err.mean()
+        err -= centre
+        total[:d] += np.einsum("rd->d", E)
+        total_sq[:d] += np.einsum("rd->d", E2)
+        total[d] += err.sum()
+        total_sq[d] += np.einsum("r,r->", err, err)
+    mean = total / samples
+    var = (total_sq - samples * mean**2) / (samples - 1)
+    mean[d] += centre
+    return mean, np.sqrt(np.maximum(var, 0.0) / samples)
 
 
 def verify_compressor(compressor, d: int, seed: int = 0, num_vectors: int = 5) -> Report:
@@ -547,7 +558,7 @@ def verify_compressor(compressor, d: int, seed: int = 0, num_vectors: int = 5) -
             exact = True
         except UnsupportedSizeError:
             mean, se = _compression_moments(compressor, x, rng, 10**5)
-            unbiased = (float(np.min(4.0 * se[:d] - np.abs(mean[:d] - x))), 0.0)
+            unbiased = (float(np.min(4.0 * se[:d] - np.abs(mean[:d]))), 0.0)
             variance = (omega * norm_sq - float(mean[d]), 4.0 * float(se[d]) + 1e-12 * omega * norm_sq)
             exact = False
         report.checks.append(Check(f"unbiased[{idx}]", *unbiased, exact=exact))

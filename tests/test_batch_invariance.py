@@ -2,7 +2,8 @@
 
 Every output must be the same, bit for bit, however trials are split into
 blocks and verifier replicas into chunks, and the first K steps of a run must
-not depend on how many steps follow them.
+not depend on how many steps follow them.  A step at one row shared by all
+replicas must give what the step at that row tiled gives.
 """
 
 import functools
@@ -26,7 +27,6 @@ from sgdlab.estimator import (
     UniformSGD,
 )
 from sgdlab.harness import (
-    ROW_TEMPS,
     STREAM_CHUNK,
     ExperimentConfig,
     _mc_moments,
@@ -128,8 +128,32 @@ def test_sampled_moments_do_not_depend_on_the_replica_chunk(
     state = _perturbed_state(cons, est.init_state(prob, cons, rng.standard_normal(d)), rng)
 
     def moments(budget):
-        with mock.patch.object(harness, "BLOCK_BYTES", budget):
+        with mock.patch.object(harness, "REPLICA_BYTES", budget):
             return _mc_moments(est, prob, cons, state, x, np.random.default_rng([seed, 1]), samples)
 
-    row_bytes = 8 * ROW_TEMPS * prob.n * d
-    assert moments(chunk * row_bytes) == moments(harness.BLOCK_BYTES)
+    row_bytes = 8 * prob.n * d  # one row of a (rows, n, d) float array
+    assert moments(chunk * row_bytes) == moments(harness.REPLICA_BYTES)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(8, 16),
+    compressor=st.sampled_from(sorted(COMPRESSORS)),
+)
+def test_a_shared_row_steps_like_its_tiles(kind, family, seed, rows, compressor):
+    for d in (1, 5, 20):
+        prob, cons = _problem(family, d)
+        est = KINDS[kind](COMPRESSORS[compressor])
+        rng = np.random.default_rng(seed)
+        x = cons.x_star + rng.standard_normal(d)
+        state = _perturbed_state(cons, est.init_state(prob, cons, rng.standard_normal(d)), rng)
+        draws = est.draw(prob, rng, rows)
+        shared, tiled = state.tile(rows), state.tile(rows)
+        G = est.step(prob, cons, x[None], shared, draws)
+        G_tiled = est.step(prob, cons, np.tile(x, (rows, 1)), tiled, draws)
+        np.testing.assert_array_equal(np.broadcast_to(G, G_tiled.shape), G_tiled, err_msg=f"d={d}")
+        for field in ("sigma_sq", "shifts", "shift_mean"):
+            np.testing.assert_array_equal(getattr(shared, field), getattr(tiled, field), err_msg=f"d={d}")

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgdlab.compressor import BernoulliScale, Compressor, Identity, RandK, UnsupportedSizeError
+from sgdlab.compressor import (
+    DRAW_BUFFER_BYTES,
+    BernoulliScale,
+    Compressor,
+    Identity,
+    RandK,
+    UnsupportedSizeError,
+)
+from sgdlab.harness import STREAM_CHUNK
 
 
 def test_identity_passthrough():
@@ -95,6 +103,49 @@ def test_batch_rows_match_compressor_distribution():
     out = comp.compress_batch(X, np.random.default_rng(7))
     valid = {(9.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 12.0)}
     assert {tuple(row) for row in out} == valid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 20),
+    m=st.integers(1, 12),
+    n=st.integers(1, 4),
+    k=st.integers(1, 20),
+    kind=st.sampled_from(["identity", "rand_k", "bernoulli"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_broadcasts_a_shared_vector(d, m, n, k, kind, seed):
+    comp = {"identity": Identity(), "rand_k": RandK(k=min(k, d)), "bernoulli": BernoulliScale(q=0.3)}[kind]
+    rng = np.random.default_rng(seed)
+    x, V = rng.standard_normal(d), rng.standard_normal((1, n, d))
+    draws = comp.draw(rng, (m,), d)
+    np.testing.assert_array_equal(comp.apply(x, draws), comp.apply(np.tile(x, (m, 1)), draws))
+    draws = comp.draw(rng, (m, n), d)
+    np.testing.assert_array_equal(comp.apply(V, draws), comp.apply(np.tile(V, (m, 1, 1)), draws))
+
+
+def _block_rows(d):
+    return DRAW_BUFFER_BYTES // (8 * d)
+
+
+@pytest.mark.parametrize(
+    "shape,d",
+    [
+        ((), 7),
+        ((0, 3), 5),
+        ((_block_rows(20),), 20),
+        ((_block_rows(20) + 1,), 20),
+        ((3 * _block_rows(7) - 2, 1), 7),
+        ((_block_rows(1) + 5,), 1),
+        ((STREAM_CHUNK, 10), 20),
+        ((STREAM_CHUNK, 3), 50),
+    ],
+)
+def test_bernoulli_draw_fills_blocks_on_the_one_shot_stream(shape, d):
+    comp = BernoulliScale(q=0.25)
+    blocked, one_shot = np.random.default_rng([9, d]), np.random.default_rng([9, d])
+    np.testing.assert_array_equal(comp.draw(blocked, shape, d), one_shot.random(shape + (d,)) < comp.q)
+    assert blocked.random() == one_shot.random()  # both streams stop at the same place
 
 
 def test_configuration_errors():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,39 @@ def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
             assert not check.exact and check.passed
             assert check.margin == pytest.approx(margin, rel=0, abs=1e-12 * omega * norm_sq)
             assert check.tol == pytest.approx(tol, rel=0, abs=1e-12 * omega * norm_sq)
+
+
+def test_sampled_compressor_check_passes_keep_all_bernoulli():
+    """With q = 1 every error Q(x) - x is 0: a sampled mean of Q(x) that rounds away from x would fail it."""
+    report = verify_compressor(BernoulliScale(q=1.0), 20, seed=5)
+    assert not any(c.exact for c in report.checks)
+    assert report.passed, "\n".join(report.lines())
+
+
+def _traced_peak_bytes(fn) -> tuple[object, int]:
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_compressor_check_streams_through_a_small_working_set():
+    """10^5 compressions of a d = 20 probe never hold more than the draws and a few chunks."""
+    report, peak = _traced_peak_bytes(lambda: verify_compressor(BernoulliScale(q=0.25), 20))
+    assert report.passed and not any(c.exact for c in report.checks)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_sampled_assumption_check_streams_through_a_small_working_set():
+    """10^4 replicas of a DIANA point at n = 10, d = 20 share the point and stream in chunks."""
+    prob = random_quadratic(10, 20, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=46)
+    cons = compute_constants(prob)
+    est = DIANA(compressor=BernoulliScale(q=0.25))  # 2^20 keep-masks: sampled
+    report, peak = _traced_peak_bytes(lambda: verify_assumption(prob, cons, est, num_points=2, seed=47))
+    assert report.passed and not any(c.exact for c in report.checks)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_variance_reduction_signature():
