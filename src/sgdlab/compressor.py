@@ -3,11 +3,13 @@
 Every compressor Q satisfies E[Q(x)] = x and E||Q(x) - x||^2 <= omega ||x||^2.
 Compression is split in two: draw takes the randomness for a whole array of
 vectors from a generator in a fixed order, and apply compresses each vector
-with its share of it; compress_batch is apply(X, draw(...)).  apply broadcasts
-X against the leading shape of draws, so one vector shared by many draws is
-never tiled.  Bernoulli draws fill their keep mask in blocks of rows from one
-reused buffer of DRAW_BUFFER_BYTES; rng.random fills rows in C order, so the
-stream is the one of a single rng.random(shape + (d,)) call.
+with its share of it, so apply(X, draw(rng, X.shape[:-1], d)) compresses
+every row of X independently.  apply broadcasts X against the leading shape
+of draws, so one vector shared by many draws is never tiled.  Draws work
+through one reused buffer of DRAW_BUFFER_BYTES: Bernoulli fills its keep mask
+in blocks of rows, and rng.random fills rows in C order, so the stream is the
+one of a single rng.random(shape + (d,)) call; rand_k runs its shuffle on
+blocks of rows of a (rows, d) index table, never on a table for all vectors.
 
 outcomes(d) lists every outcome s: the kept coordinates keep[s], scaled by one
 common factor, with probability prob[s].  exact_moments sums over that table,
@@ -27,7 +29,7 @@ import numpy as np
 
 RANDK_ENUM_LIMIT = 10**4
 BERNOULLI_ENUM_LIMIT = 16
-DRAW_BUFFER_BYTES = 2**17  # uniforms a Bernoulli draw holds at a time
+DRAW_BUFFER_BYTES = 2**17  # uniforms of a Bernoulli draw, or rand_k index table, held at a time
 
 
 class UnsupportedSizeError(ValueError):
@@ -50,11 +52,6 @@ class Compressor:
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Compress each vector X[..., :] with its entry of draws; X broadcasts against draws."""
         raise NotImplementedError
-
-    def compress_batch(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Compress each row of X with an independent draw from rng."""
-        X = np.asarray(X, dtype=float)
-        return self.apply(X, self.draw(rng, X.shape[:-1], X.shape[-1]))
 
     def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
         """The outcome table for dimension d: keep (S, d) bool, prob (S,), scale.
@@ -124,15 +121,27 @@ class RandK(Compressor):
         return d / self.k - 1.0
 
     def draw(self, rng: np.random.Generator, shape: tuple[int, ...], d: int) -> np.ndarray:
-        """The kept coordinates, shape + (k,)."""
+        """The kept coordinates, shape + (k,).
+
+        The k swap targets rng.integers(j, d, size=shape) are taken first, in
+        order of j, into the output; the shuffle then runs on row blocks of
+        one reused (rows, d) index table of DRAW_BUFFER_BYTES.
+        """
         self._check(d)
         m = math.prod(shape)
-        idx = np.tile(np.arange(d), (m, 1))
-        rows = np.arange(m)
+        out = np.empty((m, self.k), dtype=np.int64)
         for j in range(self.k):
-            r = rng.integers(j, d, size=shape).reshape(m)
-            idx[rows, j], idx[rows, r] = idx[rows, r], idx[rows, j]
-        return idx[:, : self.k].reshape(shape + (self.k,))
+            out[:, j] = rng.integers(j, d, size=shape).reshape(m)
+        table = np.empty((max(1, DRAW_BUFFER_BYTES // (8 * d)), d), dtype=np.int64)
+        all_rows = np.arange(len(table))
+        for start in range(0, m, len(table)):
+            block = out[start : start + len(table)]
+            idx, rows = table[: len(block)], all_rows[: len(block)]
+            idx[:] = np.arange(d)
+            for j, r in enumerate(block.T):
+                idx[rows, j], idx[rows, r] = idx[rows, r], idx[rows, j]
+            block[:] = idx[:, : self.k]
+        return out.reshape(shape + (self.k,))
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         d = X.shape[-1]

@@ -213,7 +213,7 @@ class UniformSGD(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         (i,) = draws
-        return problem.eval_grad_i(i, X)
+        return problem.grad_i(i, X)
 
     def certificate(self, problem, constants):
         return Certificate(A=2.0 * constants.L_max, D1=2.0 * constants.sigma_star_sq)
@@ -271,7 +271,7 @@ class SGDStar(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         (i,) = draws
-        return problem.eval_grad_i(i, X) - constants.grads_at_star[i]
+        return problem.grad_i(i, X) - constants.grads_at_star[i]
 
     def certificate(self, problem, constants):
         return Certificate(A=constants.L_max)
@@ -318,7 +318,7 @@ class LSVRG(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         i, coin = draws
-        G = problem.eval_grad_i(i, X) - state.shifts[np.arange(len(i)), i] + state.shift_mean
+        G = problem.grad_i(i, X) - state.shifts[np.arange(len(i)), i] + state.shift_mean
         hit = np.flatnonzero(coin < self.p)
         if hit.size:
             # a one-row X is shared by every row, so its one anchor fills every hit row

@@ -15,7 +15,11 @@ on K), the initial direction from default_rng([base_seed, 1]), verification
 point j from default_rng([base_seed, 2, j]).  Every batched contraction is an
 np.einsum, whose rows do not depend on the batch size, so results are bitwise
 the same however trials are split into blocks and replicas into chunks.  Trial
-blocks are sized from the memory budget BLOCK_BYTES.  Verifier replicas share
+blocks are sized from the memory budget BLOCK_BYTES.  A trajectory step does
+only the estimator's arithmetic and buffers its squared distances; the
+finiteness check and the records are settled once per chunk of STREAM_CHUNK
+steps.  The estimators index components they drew themselves, so they call
+the problem's unchecked grad_i, not eval_grad_i.  Verifier replicas share
 their point as one row that is evaluated once, and stream through chunks of
 REPLICA_BYTES per (rows, n, d) array, small enough to stay in cache.
 """
@@ -52,8 +56,13 @@ class TrajectoryError(RuntimeError):
 
 
 def _rows_per_block(problem: FiniteSumProblem, draw_bytes: int) -> int:
-    """Rows of one batch within BLOCK_BYTES, given the bytes of one row's draws."""
-    return max(1, BLOCK_BYTES // (draw_bytes + 8 * ROW_TEMPS * problem.n * problem.d))
+    """Rows of one batch within BLOCK_BYTES, given the bytes of one row's draws.
+
+    A row also holds ROW_TEMPS (n, d) float arrays and its two columns of
+    per-step buffers, squared distances and sigma_k^2, of STREAM_CHUNK floats each.
+    """
+    row_bytes = draw_bytes + 8 * ROW_TEMPS * problem.n * problem.d + 2 * 8 * STREAM_CHUNK
+    return max(1, BLOCK_BYTES // row_bytes)
 
 
 @dataclass
@@ -205,36 +214,53 @@ def run_trajectory(resolved: ResolvedExperiment, trials: range) -> tuple[np.ndar
     does not depend on which other trials share the batch.  Raises
     TrajectoryError at the first iteration, k = 0 included, at which some
     trial's squared distance to x* is not finite.
+
+    A step only advances X and writes the squared distances of its rows into
+    a (STREAM_CHUNK, R) buffer, and sigma_k^2 into another where k is
+    recorded.  The finiteness test and the copies into the results run once
+    per chunk; rows that diverged mid-chunk step on as inf or nan, which no
+    step reads back into another row, until the chunk is settled.
     """
     problem, est, constants = resolved.problem, resolved.estimator, resolved.constants
     gamma, x_star, ks = resolved.gamma, constants.x_star, resolved.record_ks
     rngs = [np.random.default_rng([resolved.base_seed, TRIAL_STREAM, r]) for r in trials]
-    dist = np.empty((len(rngs), len(ks)))
-    sig = np.empty((len(rngs), len(ks)))
-    X = np.tile(resolved.x0, (len(rngs), 1))
-    ptr = 0
+    R = len(rngs)
+    dist = np.empty((R, len(ks)))
+    sig = np.empty((R, len(ks)))
+    X = np.tile(resolved.x0, (R, 1))
+    diff = np.empty_like(X)
+    d2buf = np.empty((STREAM_CHUNK, R))
+    sigbuf = np.empty((STREAM_CHUNK, R))
+    recorded = set(ks.tolist())
+
+    def settle(first: int, d2: np.ndarray, sigma: np.ndarray) -> None:
+        # d2[t] and sigma[t] belong to iteration first + t; ks[lo:hi] are the recorded ones
+        finite = np.isfinite(d2)
+        if not finite.all():
+            t, row = np.unravel_index(np.argmin(finite), finite.shape)
+            raise TrajectoryError(f"non-finite iterate at iteration {first + t} in trial {trials[row]}")
+        lo, hi = np.searchsorted(ks, [first, first + len(d2)])
+        dist[:, lo:hi] = d2[ks[lo:hi] - first].T
+        sig[:, lo:hi] = sigma[ks[lo:hi] - first].T
+
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        state = est.init_state(problem, constants, resolved.x0).tile(len(rngs))
-
-        def check_and_record(k: int) -> None:
-            nonlocal ptr
-            diff = X - x_star
-            d2 = np.einsum("rd,rd->r", diff, diff)
-            if not np.isfinite(d2).all():
-                row = int(np.argmin(np.isfinite(d2)))
-                raise TrajectoryError(f"non-finite iterate at iteration {k} in trial {trials[row]}")
-            if ptr < len(ks) and ks[ptr] == k:
-                dist[:, ptr], sig[:, ptr] = d2, state.sigma_sq
-                ptr += 1
-
-        check_and_record(0)
+        state = est.init_state(problem, constants, resolved.x0).tile(R)
+        np.subtract(X, x_star, out=diff)
+        np.einsum("rd,rd->r", diff, diff, out=d2buf[0])
+        sigbuf[0] = state.sigma_sq
+        settle(0, d2buf[:1], sigbuf[:1])
         for start in range(0, resolved.steps, STREAM_CHUNK):
             # chunk[j][t] holds draw array j of step start + t + 1 for every trial
             per_trial = [est.draw(problem, rng, STREAM_CHUNK) for rng in rngs]
             chunk = [np.stack(arrays, axis=1) for arrays in zip(*per_trial)]
-            for t in range(min(STREAM_CHUNK, resolved.steps - start)):
+            T = min(STREAM_CHUNK, resolved.steps - start)
+            for t in range(T):
                 X -= gamma * est.step(problem, constants, X, state, [a[t] for a in chunk])
-                check_and_record(start + t + 1)
+                np.subtract(X, x_star, out=diff)
+                np.einsum("rd,rd->r", diff, diff, out=d2buf[t])
+                if start + t + 1 in recorded:
+                    sigbuf[t] = state.sigma_sq
+            settle(start + 1, d2buf[:T], sigbuf[:T])
     return dist, sig
 
 
@@ -510,7 +536,7 @@ def verify_bound(
 def _compression_moments(compressor, x: np.ndarray, rng, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and standard error of (Q(x) - x, ||Q(x) - x||^2) over `samples` compressions of x.
 
-    One draw from rng (compress_batch's stream), applied to x in chunks of REPLICA_BYTES.  Each
+    One draw for all samples from rng, applied to x in chunks of REPLICA_BYTES.  Each
     chunk adds to the sums of the values and of their squares.  Entry d is the squared error;
     its sums are taken about the first chunk's mean, so that they do not cancel.
     """

@@ -41,7 +41,7 @@ class FiniteSumProblem:
         return float(np.mean([self._component_value(i, x) for i in range(self.n)]))
 
     def eval_grad_i(self, i, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of component i at x.
+        """Analytic gradient of component i at x: grad_i after range and shape checks.
 
         i may be an index array and x a batch (..., d): row r is then the
         gradient of component i[r] at x[r].
@@ -50,7 +50,7 @@ class FiniteSumProblem:
         if np.any((i < 0) | (i >= self.n)):
             raise IndexError(f"component index {i} out of range [0, {self.n})")
         self._check_dim(x)
-        return self._grad(i, x)
+        return self.grad_i(i, x)
 
     def eval_full_grad(self, x: np.ndarray) -> np.ndarray:
         """Exact average of all component gradients at one point."""
@@ -63,14 +63,17 @@ class FiniteSumProblem:
 
     def component_grads(self, x: np.ndarray) -> np.ndarray:
         """All component gradients: (n, d) at one point, (..., n, d) at a batch (..., d)."""
-        return self._grad(slice(None), np.asarray(x)[..., None, :])
+        return self.grad_i(slice(None), np.asarray(x)[..., None, :])
 
     def _component_value(self, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
 
-    def _grad(self, i, x: np.ndarray) -> np.ndarray:
-        """Gradients of components i at x, broadcasting their leading axes.
+    def grad_i(self, i, x: np.ndarray) -> np.ndarray:
+        """Gradients of components i at x, broadcasting their leading axes, unchecked.
 
+        i is an index, index array or slice into the n components and x has
+        last axis d; the caller guarantees both, as the estimators do for the
+        indices they draw themselves.  Outside input goes through eval_grad_i.
         Batched contractions use np.einsum: its rows do not depend on how many
         rows share the call, which keeps trajectories independent of batching.
         """
@@ -111,7 +114,7 @@ class QuadraticSum(FiniteSumProblem):
     def _component_value(self, i: int, x: np.ndarray) -> float:
         return float(0.5 * x @ (self.A[i] @ x) - self.b[i] @ x)
 
-    def _grad(self, i, x: np.ndarray) -> np.ndarray:
+    def grad_i(self, i, x: np.ndarray) -> np.ndarray:
         return np.einsum("...ij,...j->...i", self.A[i], x) - self.b[i]
 
     def eval_f(self, x: np.ndarray) -> float:
@@ -147,6 +150,8 @@ class LogisticSum(FiniteSumProblem):
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ProblemError(f"ridge coefficient must be finite and >= 0, got {self.ridge:g}")
         self.n, self.d = self.features.shape
+        if self.n < 1 or self.d < 1:
+            raise ProblemError("need n >= 1 and d >= 1")
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
         return self.labels * (self.features @ x)
@@ -155,7 +160,7 @@ class LogisticSum(FiniteSumProblem):
         t = self.labels[i] * (self.features[i] @ x)
         return float(np.logaddexp(0.0, -t) + 0.5 * self.ridge * (x @ x))
 
-    def _grad(self, i, x: np.ndarray) -> np.ndarray:
+    def grad_i(self, i, x: np.ndarray) -> np.ndarray:
         a, y = self.features[i], self.labels[i]
         t = y * np.einsum("...j,...j->...", a, x)
         return (-y * _sigmoid(-t))[..., None] * a + self.ridge * x

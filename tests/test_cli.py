@@ -443,6 +443,23 @@ def test_non_finite_input_is_a_one_line_config_error(tmp_path, capsys, old, new)
     assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
 
 
+def test_zero_width_logistic_features_are_a_one_line_config_error(tmp_path):
+    conf = """
+[problem]
+family = logistic
+features = [[], []]
+labels = [1, -1]
+ridge = 1
+
+[estimator]
+kind = sgd
+"""
+    proc = _run_cli_process("verify", "--config", write(tmp_path, conf))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ") and "d >= 1" in proc.stderr
+
+
 def test_non_finite_quadratic_matrix_is_a_config_error(tmp_path, capsys):
     cfg = write(tmp_path, ISOTROPIC_GD.replace("[[[1.0, 0.0]", "[[[NaN, 0.0]"))
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sgdlab.harness import STREAM_CHUNK
 def test_identity_passthrough():
     x = np.array([1.0, 2.0, 3.0])
     rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(Identity().compress_batch(x[None, :], rng)[0], x)
+    np.testing.assert_array_equal(Identity().apply(x[None, :], Identity().draw(rng, (1,), 3))[0], x)
     mean, mse = Identity().exact_moments(x)
     np.testing.assert_array_equal(mean, x)
     assert mse == 0.0
@@ -38,7 +39,7 @@ def test_randk_three_outcome_enumeration():
     assert mse == pytest.approx(50.0, rel=1e-15)
     assert comp.omega(3) == 2.0
     rng = np.random.default_rng(5)
-    outcomes = {tuple(row) for row in comp.compress_batch(np.tile(x, (200, 1)), rng)}
+    outcomes = {tuple(row) for row in comp.apply(np.tile(x, (200, 1)), comp.draw(rng, (200,), 3))}
     assert outcomes == {(9.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 12.0)}
 
 
@@ -46,7 +47,7 @@ def test_bernoulli_keep_all_is_degenerate():
     x = np.array([1.5, -2.0, 0.25])
     comp = BernoulliScale(q=1.0)
     rng = np.random.default_rng(1)
-    for row in comp.compress_batch(np.tile(x, (20, 1)), rng):
+    for row in comp.apply(np.tile(x, (20, 1)), comp.draw(rng, (20,), 3)):
         np.testing.assert_array_equal(row, x)
 
 
@@ -81,7 +82,7 @@ def test_statistical_unbiasedness(comp):
     d, samples = 5, 10**5
     rng = np.random.default_rng(99)
     x = np.array([1.0, -2.0, 0.0, 3.0, 0.5])
-    draws = comp.compress_batch(np.tile(x, (samples, 1)), rng)
+    draws = comp.apply(np.tile(x, (samples, 1)), comp.draw(rng, (samples,), d))
     assert draws.shape == (samples, d)
     se = draws.std(axis=0, ddof=1) / np.sqrt(samples)
     dev = np.abs(draws.mean(axis=0) - x)
@@ -91,8 +92,8 @@ def test_statistical_unbiasedness(comp):
 def test_determinism():
     x = np.arange(6, dtype=float)
     for comp in (RandK(k=2), BernoulliScale(q=0.7), Identity()):
-        a = comp.compress_batch(x[None, :], np.random.default_rng(123))
-        b = comp.compress_batch(x[None, :], np.random.default_rng(123))
+        a = comp.apply(x[None, :], comp.draw(np.random.default_rng(123), (1,), 6))
+        b = comp.apply(x[None, :], comp.draw(np.random.default_rng(123), (1,), 6))
         np.testing.assert_array_equal(a, b)
 
 
@@ -100,7 +101,7 @@ def test_batch_rows_match_compressor_distribution():
     # batched API compresses each row independently with the same algorithm
     comp = RandK(k=1)
     X = np.tile(np.array([3.0, 0.0, 4.0]), (1000, 1))
-    out = comp.compress_batch(X, np.random.default_rng(7))
+    out = comp.apply(X, comp.draw(np.random.default_rng(7), X.shape[:-1], X.shape[-1]))
     valid = {(9.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 12.0)}
     assert {tuple(row) for row in out} == valid
 
@@ -148,9 +149,51 @@ def test_bernoulli_draw_fills_blocks_on_the_one_shot_stream(shape, d):
     assert blocked.random() == one_shot.random()  # both streams stop at the same place
 
 
+def _randk_one_table(k, rng, shape, d):
+    """The rand_k draw as one (m, d) index table shuffled in place, the reference for the blocked draw."""
+    m = math.prod(shape)
+    idx = np.tile(np.arange(d), (m, 1))
+    rows = np.arange(m)
+    for j in range(k):
+        r = rng.integers(j, d, size=shape).reshape(m)
+        idx[rows, j], idx[rows, r] = idx[rows, r], idx[rows, j]
+    return idx[:, :k].reshape(shape + (k,))
+
+
+@pytest.mark.parametrize(
+    "shape,d,k",
+    [
+        ((), 7, 3),
+        ((0, 3), 5, 2),
+        ((_block_rows(20),), 20, 20),
+        ((_block_rows(20) + 1,), 20, 4),
+        ((3 * _block_rows(7) - 2, 1), 7, 7),
+        ((_block_rows(1) + 5,), 1, 1),
+        ((STREAM_CHUNK, 10), 20, 1),
+        ((2, 3), 2 * DRAW_BUFFER_BYTES // 8, 2),
+    ],
+)
+def test_randk_draw_in_blocks_keeps_the_one_table_indices(shape, d, k):
+    comp = RandK(k=k)
+    blocked, one_table = np.random.default_rng([9, d]), np.random.default_rng([9, d])
+    np.testing.assert_array_equal(comp.draw(blocked, shape, d), _randk_one_table(k, one_table, shape, d))
+    assert blocked.random() == one_table.random()  # both streams stop at the same place
+
+
+def test_randk_draw_holds_little_beyond_its_output():
+    """10^5 draws of 5 of 30 coordinates hold the (m, k) indices, one swap array and one block table."""
+    tracemalloc.start()
+    try:
+        out = RandK(k=5).draw(np.random.default_rng(0), (10**5,), 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * out.nbytes, f"peak {peak / 2**20:.1f} MiB for {out.nbytes / 2**20:.1f} MiB of output"
+
+
 def test_configuration_errors():
     with pytest.raises(ValueError, match="1 <= k <= d"):
-        RandK(k=4).compress_batch(np.zeros((1, 3)), np.random.default_rng(0))
+        RandK(k=4).draw(np.random.default_rng(0), (1,), 3)
     with pytest.raises(ValueError, match="keep probability"):
         BernoulliScale(q=0.0)
     with pytest.raises(ValueError, match="keep probability"):

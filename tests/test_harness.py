@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from sgdlab.compressor import BernoulliScale, RandK
-from sgdlab.estimator import CDGD, DIANA, LSVRG, RCD, FullGradient, SGDStar, UniformSGD
+from sgdlab.estimator import CDGD, DIANA, LSVRG, RCD, FullGradient, NoisyGradient, SGDStar, UniformSGD
 from sgdlab.harness import (
+    STREAM_CHUNK,
+    TRIAL_STREAM,
     VERIFY_STREAM,
     ExperimentConfig,
     TrajectoryError,
@@ -22,7 +24,7 @@ from sgdlab.harness import (
     verify_bound,
     verify_compressor,
 )
-from sgdlab.problem import compute_constants, random_quadratic
+from sgdlab.problem import compute_constants, random_logistic, random_quadratic
 
 HET = random_quadratic(20, 5, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=71)
 HET_CONST = compute_constants(HET)
@@ -235,7 +237,7 @@ def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
     probes = [rng.standard_normal(d) for _ in range(4)] + [np.ones(d)]
     for idx, x in enumerate(probes):
         norm_sq = float(x @ x)
-        draws = comp.compress_batch(np.tile(x, (samples, 1)), rng)
+        draws = comp.apply(np.tile(x, (samples, 1)), comp.draw(rng, (samples,), d))
         se_mean = draws.std(axis=0, ddof=1) / math.sqrt(samples)
         err = np.sum((draws - x) ** 2, axis=1)
         se_err = float(err.std(ddof=1)) / math.sqrt(samples)
@@ -331,6 +333,116 @@ def test_overflow_names_the_same_step_for_any_record_stride():
     step = int(messages[0].split("iteration ")[1].split()[0])
     # GD at gamma = 50 overflows between two recorded iterations of stride 25
     assert step % 25 != 0 and messages[0].endswith("in trial 0")
+
+
+def _replay_trajectory(resolved, trials):
+    """Reference kernel: check every iterate and record it at the step that made it."""
+    problem, est, constants = resolved.problem, resolved.estimator, resolved.constants
+    gamma, x_star, ks = resolved.gamma, constants.x_star, resolved.record_ks
+    rngs = [np.random.default_rng([resolved.base_seed, TRIAL_STREAM, r]) for r in trials]
+    dist = np.empty((len(rngs), len(ks)))
+    sig = np.empty((len(rngs), len(ks)))
+    X = np.tile(resolved.x0, (len(rngs), 1))
+    ptr = 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        state = est.init_state(problem, constants, resolved.x0).tile(len(rngs))
+
+        def check_and_record(k):
+            nonlocal ptr
+            diff = X - x_star
+            d2 = np.einsum("rd,rd->r", diff, diff)
+            if not np.isfinite(d2).all():
+                row = int(np.argmin(np.isfinite(d2)))
+                raise TrajectoryError(f"non-finite iterate at iteration {k} in trial {trials[row]}")
+            if ptr < len(ks) and ks[ptr] == k:
+                dist[:, ptr], sig[:, ptr] = d2, state.sigma_sq
+                ptr += 1
+
+        check_and_record(0)
+        for start in range(0, resolved.steps, STREAM_CHUNK):
+            per_trial = [est.draw(problem, rng, STREAM_CHUNK) for rng in rngs]
+            chunk = [np.stack(arrays, axis=1) for arrays in zip(*per_trial)]
+            for t in range(min(STREAM_CHUNK, resolved.steps - start)):
+                X -= gamma * est.step(problem, constants, X, state, [a[t] for a in chunk])
+                check_and_record(start + t + 1)
+    return dist, sig
+
+
+KERNEL_SETUPS = {
+    "gd": FullGradient,
+    "sgd": UniformSGD,
+    "noisy_gd": lambda: NoisyGradient(sigma=0.3),
+    "sgd_star": SGDStar,
+    "lsvrg": lambda: LSVRG(p=0.3),
+    "cdgd-rand_k": lambda: CDGD(compressor=RandK(k=2)),
+    "cdgd-bernoulli": lambda: CDGD(compressor=BernoulliScale(q=0.5)),
+    "diana-rand_k": lambda: DIANA(compressor=RandK(k=2)),
+    "diana-bernoulli": lambda: DIANA(compressor=BernoulliScale(q=0.5)),
+    "rcd": RCD,
+}
+KERNEL_PROBLEMS = {
+    "quadratic": random_quadratic(4, 5, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=81),
+    "logistic": random_logistic(4, 5, ridge=0.5, seed=82),
+}
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_PROBLEMS))
+@pytest.mark.parametrize("setup", sorted(KERNEL_SETUPS))
+def test_chunked_kernel_records_what_the_per_step_kernel_records(setup, family):
+    """Settling the checks and records once per chunk changes no bit of dist or sigma."""
+    for steps, record_every in ((300, 1), (517, 7), (2049, "auto")):
+        cfg = ExperimentConfig(
+            problem=KERNEL_PROBLEMS[family], estimator=KERNEL_SETUPS[setup](), steps=steps, trials=4,
+            base_seed=19, record_every=record_every,
+        )
+        resolved = cfg.resolve()
+        dist, sig = run_trajectory(resolved, range(1, 4))
+        ref_dist, ref_sig = _replay_trajectory(resolved, range(1, 4))
+        np.testing.assert_array_equal(dist, ref_dist)
+        np.testing.assert_array_equal(sig, ref_sig)
+
+
+@dataclasses.dataclass
+class _PoisonedSGD(UniformSGD):
+    """Uniform SGD whose step number `at` sends row `row` to infinity."""
+
+    at: int = 1
+    row: int = 0
+    calls: int = 0
+
+    def step(self, problem, constants, X, state, draws):
+        G = super().step(problem, constants, X, state, draws)
+        self.calls += 1
+        if self.calls == self.at:
+            G[self.row] = np.inf
+        return G
+
+
+def _trajectory_error(run, resolved, trials):
+    with pytest.raises(TrajectoryError) as info:
+        run(resolved, trials)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("at", [1, 100, STREAM_CHUNK, STREAM_CHUNK + 1])
+def test_chunked_kernel_names_the_first_diverging_step_and_trial(at):
+    """A row that diverges mid-chunk or at a chunk edge is reported as the per-step check reported it."""
+    cfg = ExperimentConfig(problem=HET, estimator=UniformSGD(), steps=600, trials=4, base_seed=20, record_every=50)
+    resolved = cfg.resolve()
+    messages = [
+        _trajectory_error(run, dataclasses.replace(resolved, estimator=_PoisonedSGD(at=at, row=2)), range(3, 7))
+        for run in (run_trajectory, _replay_trajectory)
+    ]
+    assert messages[0] == messages[1] == f"non-finite iterate at iteration {at} in trial 5"
+
+
+@pytest.mark.parametrize("setup", ["sgd", "lsvrg", "cdgd-rand_k", "diana-bernoulli"])
+def test_chunked_kernel_reports_an_overflow_as_the_per_step_kernel(setup):
+    """Trials that overflow at a too large stepsize: same iteration, same trial as the reference."""
+    cfg = ExperimentConfig(problem=HET, estimator=KERNEL_SETUPS[setup](), steps=800, trials=5, base_seed=18)
+    resolved = dataclasses.replace(cfg.resolve(), gamma=1.2)
+    messages = [_trajectory_error(run, resolved, range(5)) for run in (run_trajectory, _replay_trajectory)]
+    assert messages[0] == messages[1]
 
 
 def test_tail_mean_window():

@@ -195,6 +195,13 @@ def test_rejects_bad_labels():
         LogisticSum(features=np.eye(2), labels=np.array([1.0, 2.0]), ridge=0.1)
 
 
+@pytest.mark.parametrize("features", [np.zeros((2, 0)), np.zeros((0, 3))], ids=["d=0", "n=0"])
+def test_rejects_empty_logistic(features):
+    labels = np.ones(len(features))
+    with pytest.raises(ProblemError, match="n >= 1 and d >= 1"):
+        LogisticSum(features=features, labels=labels, ridge=1.0)
+
+
 def test_dimension_and_index_errors():
     p = quad([I2], [[0, 0]])
     with pytest.raises(ValueError, match="dimension"):
