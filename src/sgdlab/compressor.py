@@ -11,13 +11,15 @@ in blocks of rows, and rng.random fills rows in C order, so the stream is the
 one of a single rng.random(shape + (d,)) call; rand_k runs its shuffle on
 blocks of rows of a (rows, d) index table, never on a table for all vectors.
 
-outcomes(d) lists every outcome s: the kept coordinates keep[s], scaled by one
-common factor, with probability prob[s].  exact_moments sums over that table,
-never calling draw or apply: it is the independent oracle for both properties.
-The table has C(d, k) rows for rand_k and 2^d for Bernoulli, so above
-RANDK_ENUM_LIMIT rows or BERNOULLI_ENUM_LIMIT coordinates outcomes raises
-UnsupportedSizeError and the verifier samples instead.  Both moments are sums
-over coordinates, so a per-coordinate enumeration could drop these limits.
+Both exact moments are sums over coordinates, and each compressor keeps a
+coordinate, scaled by s, with one probability p and drops it otherwise:
+keep_scale(d) states (p, s) from the compressor's definition.  exact_moments
+enumerates those two outcomes per coordinate in O(d), never calling draw or
+apply: it is the independent oracle for both properties.  It is exact for
+every d, but keep_scale still raises UnsupportedSizeError above
+RANDK_ENUM_LIMIT subsets or BERNOULLI_ENUM_LIMIT coordinates: the limits are
+only the policy for where verify samples instead, kept because the
+benchmark's verify_diana workload expects sampled checks above them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ DRAW_BUFFER_BYTES = 2**17  # uniforms of a Bernoulli draw, or rand_k index table
 
 
 class UnsupportedSizeError(ValueError):
-    """Raised when exact enumeration of the outcome space is too large."""
+    """Raised above the enumeration limits, where verify samples instead."""
 
 
 class Compressor:
@@ -53,26 +55,23 @@ class Compressor:
         """Compress each vector X[..., :] with its entry of draws; X broadcasts against draws."""
         raise NotImplementedError
 
-    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """The outcome table for dimension d: keep (S, d) bool, prob (S,), scale.
+    def keep_scale(self, d: int) -> tuple[float, float]:
+        """(p, s): each coordinate is kept and scaled by s with probability p, else set to 0.
 
-        Outcome s maps x to scale * x on the coordinates keep[s] and to 0
-        elsewhere.  Raises UnsupportedSizeError where the table is too large.
+        Raises UnsupportedSizeError above the enumeration limits.
         """
         raise NotImplementedError
 
     def exact_moments(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact (E[Q(x)], E||Q(x) - x||^2) of every vector x in X (..., d), summed over the outcome table.
+        """Exact (E[Q(x)], E||Q(x) - x||^2) of every vector x in X (..., d), by coordinate.
 
-        Returns means (..., d) and mean squared errors (...); row i equals the
-        call on X[i] bit for bit.  Memory is O(S (d + rows)), never (rows, S, d).
+        Returns means p s X (..., d) and mean squared errors
+        (p (s-1)^2 + 1 - p) ||x||^2 (...); row i equals the call on X[i] bit for bit.
         """
         X = np.asarray(X, dtype=float)
-        keep, prob, scale = self.outcomes(X.shape[-1])
-        # squared error of outcome s: a kept coordinate adds (scale - 1)^2 x_j^2, a dropped one x_j^2
-        err = np.einsum("sd,...d->...s", np.where(keep, (scale - 1.0) ** 2, 1.0), X * X)
-        mean = scale * np.einsum("s,sd->d", prob, keep) * X
-        return mean, (err * prob).sum(axis=-1)  # a sum along the last axis keeps rows independent
+        p, s = self.keep_scale(X.shape[-1])
+        # a sum along the last axis keeps rows independent
+        return p * s * X, (p * (s - 1.0) ** 2 + 1.0 - p) * (X * X).sum(axis=-1)
 
     def describe(self) -> str:
         return self.name
@@ -93,8 +92,8 @@ class Identity(Compressor):
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return np.array(np.broadcast_to(X, draws.shape[:-1] + X.shape[-1:]), dtype=float)
 
-    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
-        return np.ones((1, d), dtype=bool), np.ones(1), 1.0
+    def keep_scale(self, d: int) -> tuple[float, float]:
+        return 1.0, 1.0
 
     def describe(self) -> str:
         return "identity (omega = 0)"
@@ -151,23 +150,13 @@ class RandK(Compressor):
         np.put_along_axis(out, keep, np.take_along_axis(X, keep, axis=-1) * (d / self.k), axis=-1)
         return out
 
-    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """The C(d, k) subsets in lexicographic order, each with probability 1/C(d, k)."""
+    def keep_scale(self, d: int) -> tuple[float, float]:
+        """Each coordinate is in the k-subset with probability k/d, by symmetry."""
         self._check(d)
         total = math.comb(d, self.k)
         if total > RANDK_ENUM_LIMIT:
-            raise UnsupportedSizeError(f"C({d},{self.k}) = {total} outcomes exceed {RANDK_ENUM_LIMIT}")
-        # increasing index prefixes that still extend to k indices; position j takes last + 1 .. d - k + j
-        idx = np.arange(d - self.k + 1)[:, None]
-        for j in range(1, self.k):
-            last = idx[:, -1]
-            counts = d - self.k + j - last
-            ends = np.cumsum(counts)
-            nxt = np.arange(ends[-1]) + np.repeat(last + 1 - (ends - counts), counts)
-            idx = np.column_stack([np.repeat(idx, counts, axis=0), nxt])
-        keep = np.zeros((total, d), dtype=bool)
-        keep[np.arange(total)[:, None], idx] = True
-        return keep, np.full(total, 1.0 / total), d / self.k
+            raise UnsupportedSizeError(f"C({d},{self.k}) = {total} subsets exceed {RANDK_ENUM_LIMIT}")
+        return self.k / d, d / self.k
 
     def describe(self) -> str:
         return f"rand_k (k = {self.k}, omega = d/k - 1)"
@@ -204,13 +193,10 @@ class BernoulliScale(Compressor):
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         return np.where(draws, X / self.q, 0.0)
 
-    def outcomes(self, d: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """The 2^d keep masks, row s keeping the coordinates of the set bits of s."""
+    def keep_scale(self, d: int) -> tuple[float, float]:
         if d > BERNOULLI_ENUM_LIMIT:
-            raise UnsupportedSizeError(f"2^{d} outcomes exceed 2^{BERNOULLI_ENUM_LIMIT}")
-        keep = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(bool)
-        kept = keep.sum(axis=1)
-        return keep, self.q**kept * (1.0 - self.q) ** (d - kept), 1.0 / self.q
+            raise UnsupportedSizeError(f"d = {d} exceeds {BERNOULLI_ENUM_LIMIT} coordinates")
+        return self.q, 1.0 / self.q
 
     def describe(self) -> str:
         return f"bernoulli (q = {self.q:g}, omega = 1/q - 1)"

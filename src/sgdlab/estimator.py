@@ -26,9 +26,13 @@ neither (gd).  Draw order per kind (m entries each, in this order):
     rcd                 rng.integers(d, size=m)
     cdgd, diana         the compressor's draw for shape (m, n)
 
-The exact_* methods evaluate the left-hand sides for one state by enumerating
-the finite outcome space where possible; they are the oracles used by the
-assumption verifier and never call draw or step.
+exact_moments(problem, constants, state, x) is the exact oracle: it returns
+(E[g], E||g||^2, E[sigma_{k+1}^2]) at one state by enumerating the finite
+outcome space, with None for an entry that is not enumerated or, for
+sigma_next, where the kind has no sigma.  Compressed kinds sum their
+compressor's per-coordinate moments, so they are exact for every d, but they
+give None above the compressor's enumeration limits, where the assumption
+verifier samples instead.  The oracle never calls draw or step.
 """
 
 from __future__ import annotations
@@ -124,14 +128,6 @@ def shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float | np
     return np.einsum("...ij,...ij->...", diff, diff) / diff.shape[-2]
 
 
-def _compressed_moments(compressor: Compressor, V: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """compressor.exact_moments of the worker vectors V (n, d), or None where its outcome table is too large."""
-    try:
-        return compressor.exact_moments(V)
-    except UnsupportedSizeError:
-        return None
-
-
 class Estimator:
     """Base class; subclasses implement one batched sampling rule each."""
 
@@ -164,16 +160,9 @@ class Estimator:
     def certificate(self, problem: FiniteSumProblem, constants: ProblemConstants) -> Certificate:
         raise NotImplementedError
 
-    # --- exact oracles (None where the outcome space does not enumerate) ---
-
-    def exact_mean(self, problem, constants, state, x) -> np.ndarray | None:
-        return None
-
-    def exact_second_moment(self, problem, constants, state, x) -> float | None:
-        return None
-
-    def exact_sigma_next(self, problem, constants, state, x) -> float | None:
-        return None
+    def exact_moments(self, problem, constants, state, x) -> tuple:
+        """Exact (E[g], E||g||^2, E[sigma_next^2]) at one state and x; None where not enumerated."""
+        return None, None, None
 
     def describe(self) -> str:
         return self.name
@@ -191,12 +180,9 @@ class FullGradient(Estimator):
     def certificate(self, problem, constants):
         return Certificate(A=constants.L)
 
-    def exact_mean(self, problem, constants, state, x):
-        return problem.eval_full_grad(x)
-
-    def exact_second_moment(self, problem, constants, state, x):
+    def exact_moments(self, problem, constants, state, x):
         g = problem.eval_full_grad(x)
-        return float(g @ g)
+        return g, float(g @ g), None
 
     def describe(self) -> str:
         return "full gradient descent"
@@ -218,12 +204,9 @@ class UniformSGD(Estimator):
     def certificate(self, problem, constants):
         return Certificate(A=2.0 * constants.L_max, D1=2.0 * constants.sigma_star_sq)
 
-    def exact_mean(self, problem, constants, state, x):
-        return problem.component_grads(x).sum(axis=0) / problem.n
-
-    def exact_second_moment(self, problem, constants, state, x):
+    def exact_moments(self, problem, constants, state, x):
         grads = problem.component_grads(x)
-        return float(np.mean(np.sum(grads**2, axis=1)))
+        return grads.sum(axis=0) / problem.n, float(np.mean(np.sum(grads**2, axis=1))), None
 
     def describe(self) -> str:
         return "uniform-sampling SGD"
@@ -253,8 +236,8 @@ class NoisyGradient(Estimator):
     def certificate(self, problem, constants):
         return Certificate(A=constants.L, D1=problem.d * self.sigma**2)
 
-    def exact_mean(self, problem, constants, state, x):
-        return problem.eval_full_grad(x)
+    def exact_moments(self, problem, constants, state, x):
+        return problem.eval_full_grad(x), None, None
 
     def describe(self) -> str:
         return f"gradient descent with Gaussian noise (sigma = {self.sigma:g})"
@@ -276,13 +259,9 @@ class SGDStar(Estimator):
     def certificate(self, problem, constants):
         return Certificate(A=constants.L_max)
 
-    def exact_mean(self, problem, constants, state, x):
+    def exact_moments(self, problem, constants, state, x):
         rows = problem.component_grads(x) - constants.grads_at_star
-        return rows.sum(axis=0) / problem.n
-
-    def exact_second_moment(self, problem, constants, state, x):
-        rows = problem.component_grads(x) - constants.grads_at_star
-        return float(np.mean(np.sum(rows**2, axis=1)))
+        return rows.sum(axis=0) / problem.n, float(np.mean(np.sum(rows**2, axis=1))), None
 
     def describe(self) -> str:
         return "SGD shifted by the optimal gradients (not implementable in practice)"
@@ -332,18 +311,12 @@ class LSVRG(Estimator):
             A=2.0 * constants.L_max, B=2.0, C=self.p * constants.L_max, rho=self.p, has_sigma=True
         )
 
-    def exact_mean(self, problem, constants, state, x):
-        rows = problem.component_grads(x) - state.shifts + state.shift_mean
-        return rows.sum(axis=0) / problem.n
-
-    def exact_second_moment(self, problem, constants, state, x):
-        rows = problem.component_grads(x) - state.shifts + state.shift_mean
-        return float(np.mean(np.sum(rows**2, axis=1)))
-
-    def exact_sigma_next(self, problem, constants, state, x):
+    def exact_moments(self, problem, constants, state, x):
+        grads = problem.component_grads(x)
+        rows = grads - state.shifts + state.shift_mean
         # two-branch expectation over the refresh coin
-        sigma_at_x = shift_quality(problem.component_grads(x), constants)
-        return (1.0 - self.p) * state.sigma_sq + self.p * sigma_at_x
+        sigma_next = (1.0 - self.p) * state.sigma_sq + self.p * shift_quality(grads, constants)
+        return rows.sum(axis=0) / problem.n, float(np.mean(np.sum(rows**2, axis=1))), sigma_next
 
     def describe(self) -> str:
         return f"loopless SVRG (refresh probability p = {self.p:g})"
@@ -374,18 +347,15 @@ class CDGD(Estimator):
             D1=2.0 * omega * constants.sigma_star_sq / problem.n,
         )
 
-    def exact_mean(self, problem, constants, state, x):
-        moments = _compressed_moments(self.compressor, problem.component_grads(x))
-        return None if moments is None else moments[0].sum(axis=0) / problem.n
-
-    def exact_second_moment(self, problem, constants, state, x):
-        # independent workers: E||g||^2 = ||grad f(x)||^2 + (1/n^2) sum_i mse_i
+    def exact_moments(self, problem, constants, state, x):
         grads = problem.component_grads(x)
-        moments = _compressed_moments(self.compressor, grads)
-        if moments is None:
-            return None
+        try:
+            means, mses = self.compressor.exact_moments(grads)
+        except UnsupportedSizeError:
+            return None, None, None
+        # independent workers: E||g||^2 = ||grad f(x)||^2 + (1/n^2) sum_i mse_i
         full = grads.sum(axis=0) / problem.n
-        return float(full @ full + moments[1].sum() / problem.n**2)
+        return means.sum(axis=0) / problem.n, float(full @ full + mses.sum() / problem.n**2), None
 
     def describe(self) -> str:
         return f"compressed distributed gradient descent [{self.compressor.describe()}]"
@@ -437,32 +407,27 @@ class DIANA(Estimator):
             has_sigma=True,
         )
 
-    def exact_mean(self, problem, constants, state, x):
-        moments = _compressed_moments(self.compressor, problem.component_grads(x) - state.shifts)
-        return None if moments is None else (state.shifts + moments[0]).sum(axis=0) / problem.n
-
-    def exact_second_moment(self, problem, constants, state, x):
-        grads = problem.component_grads(x)
-        moments = _compressed_moments(self.compressor, grads - state.shifts)
-        if moments is None:
-            return None
-        full = grads.sum(axis=0) / problem.n
-        return float(full @ full + moments[1].sum() / problem.n**2)
-
-    def exact_sigma_next(self, problem, constants, state, x):
+    def exact_moments(self, problem, constants, state, x):
         alpha = self.resolved_alpha(problem.d)
-        u = problem.component_grads(x) - state.shifts
+        grads = problem.component_grads(x)
+        u = grads - state.shifts
+        try:
+            means, mses = self.compressor.exact_moments(u)
+        except UnsupportedSizeError:
+            return None, None, None
+        full = grads.sum(axis=0) / problem.n
         e = state.shifts - constants.grads_at_star
-        moments = _compressed_moments(self.compressor, u)
-        if moments is None:
-            return None
-        # E||e_i + alpha Delta_i||^2 with E[Delta_i] = u_i, E||Delta_i||^2 = ||u_i||^2 + mse_i = moments[1][i]
+        # E||e_i + alpha Delta_i||^2 with E[Delta_i] = u_i, E||Delta_i||^2 = ||u_i||^2 + mse_i
         per_worker = (
             np.sum(e**2, axis=1)
             + 2.0 * alpha * np.sum(e * u, axis=1)
-            + alpha**2 * (np.sum(u**2, axis=1) + moments[1])
+            + alpha**2 * (np.sum(u**2, axis=1) + mses)
         )
-        return float(np.mean(per_worker))
+        return (
+            (state.shifts + means).sum(axis=0) / problem.n,
+            float(full @ full + mses.sum() / problem.n**2),
+            float(np.mean(per_worker)),
+        )
 
     def describe(self) -> str:
         alpha = "auto" if self.alpha is None else f"{self.alpha:g}"
@@ -490,12 +455,9 @@ class RCD(Estimator):
     def certificate(self, problem, constants):
         return Certificate(A=problem.d * constants.L)
 
-    def exact_mean(self, problem, constants, state, x):
-        return problem.eval_full_grad(x)
-
-    def exact_second_moment(self, problem, constants, state, x):
+    def exact_moments(self, problem, constants, state, x):
         g = problem.eval_full_grad(x)
-        return float(problem.d * (g @ g))
+        return g, float(problem.d * (g @ g)), None
 
     def describe(self) -> str:
         return "randomized coordinate descent (uniform coordinates)"

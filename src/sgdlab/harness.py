@@ -414,10 +414,11 @@ def verify_assumption(
     States are drawn from a short warm-up trajectory plus random
     perturbations: iterates at log-spread radii around x*, points along the
     warm-up line (including reflections), and shift tables perturbed around
-    the optimal shifts.  The left-hand sides are evaluated exactly where the
-    outcome space enumerates, otherwise from samples_per_point Monte-Carlo
-    draws that both inequalities share; exact margins must be >= -1e-10 * RHS,
-    sampled margins >= -4 standard errors.
+    the optimal shifts.  The left-hand sides come from the estimator's exact
+    oracle (exact_moments); where it gives None, as for noisy_gd and for
+    compressors above their enumeration limits, they come from
+    samples_per_point Monte-Carlo draws that both inequalities share.  Exact
+    margins must be >= -1e-10 * RHS, sampled margins >= -4 standard errors.
 
     Passing a certificate overrides the estimator's own; this is how mutation
     tests inject corrupted constants.
@@ -459,22 +460,12 @@ def verify_assumption(
         sp = _perturbed_state(constants, sw, rng)
 
         gap = problem.eval_f(xp) - constants.f_star
+        _, second, sigma_next = estimator.exact_moments(problem, constants, sp, xp)
         # (check name, right-hand side, exact left-hand side or None)
-        sides = [
-            (
-                "second_moment",
-                2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1,
-                estimator.exact_second_moment(problem, constants, sp, xp),
-            )
-        ]
+        sides = [("second_moment", 2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1, second)]
         if cert.has_sigma:
-            sides.append(
-                (
-                    "sigma_recursion",
-                    (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2,
-                    estimator.exact_sigma_next(problem, constants, sp, xp),
-                )
-            )
+            rhs = (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2
+            sides.append(("sigma_recursion", rhs, sigma_next))
         if any(lhs is None for _, _, lhs in sides):
             moments = _mc_moments(estimator, problem, constants, sp, xp, rng, samples_per_point)
         for k, (name, rhs, lhs) in enumerate(sides):
@@ -565,9 +556,10 @@ def _compression_moments(compressor, x: np.ndarray, rng, samples: int) -> tuple[
 def verify_compressor(compressor, d: int, seed: int = 0, num_vectors: int = 5) -> Report:
     """Check unbiasedness and the omega variance certificate on probe vectors.
 
-    Exact from the compressor's outcome table (exact_moments) up to a relative
-    1e-12.  Beyond the table limits (over 10^4 rand_k subsets, d > 16 for
-    Bernoulli) each probe is compressed 10^5 times with a 4-standard-error
+    Exact from the compressor's per-coordinate moments (exact_moments) up to
+    a relative 1e-12.  Above the enumeration limits (over 10^4 rand_k subsets,
+    d > 16 for Bernoulli), which are only the policy for where this check
+    samples, each probe is compressed 10^5 times with a 4-standard-error
     slack; the sampled variance check also allows the exact check's round-off.
     """
     rng = np.random.default_rng([seed, VERIFY_STREAM, 2**33])

@@ -36,9 +36,10 @@ def default_M(cert: Certificate) -> float:
 
 
 def _check_M(cert: Certificate, M: float) -> None:
-    if M < 0:
+    # written as not (...) so that NaN, which fails every comparison, is rejected
+    if not M >= 0:
         raise StepsizeError(f"Lyapunov weight M must be >= 0, got {M}")
-    if cert.B > 0 and M * cert.rho <= cert.B:
+    if cert.B > 0 and not M * cert.rho > cert.B:
         raise StepsizeError(f"need M > B/rho = {cert.B / cert.rho:g}, got M = {M:g}")
 
 
@@ -74,13 +75,13 @@ class BoundCurve:
 
 
 def bound_curve(cert: Certificate, mu: float, gamma: float, M: float, V0: float) -> BoundCurve:
-    """Build the bound curve, validating the stepsize condition."""
-    if gamma <= 0:
+    """Build the bound curve, validating the stepsize condition (a NaN stepsize is rejected)."""
+    if not gamma > 0:
         raise StepsizeError(f"stepsize must be > 0, got {gamma}")
     if V0 < 0:
         raise StepsizeError(f"V0 must be >= 0, got {V0}")
     gmax = max_stepsize(cert, mu, M)
-    if gamma > gmax * (1.0 + 1e-12):
+    if not gamma <= gmax * (1.0 + 1e-12):
         raise StepsizeError(f"stepsize {gamma:g} exceeds the admissible maximum {gmax:g}")
     if cert.has_sigma:
         rate = min(gamma * mu, cert.rho - cert.B / M)

@@ -305,14 +305,15 @@ def test_sweep_writes_grid_and_rejects_oversized(tmp_path, capsys):
     )
     cfg = write(tmp_path, conf)
     out = tmp_path / "sw"
-    code = cli.main(["sweep", "--config", cfg, "--out", str(out), "--gammas", "0.05,0.025,9.0"])
+    code = cli.main(["sweep", "--config", cfg, "--out", str(out), "--gammas", "0.05,0.025,9.0,nan"])
     assert code == 0
     text = (out / "sweep.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "gamma,tail_mean_dist_sq,floor,status"
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[1].endswith(",ok") and lines[2].endswith(",ok")
     assert "rejected" in lines[3]
+    assert lines[4].startswith("nan,") and "rejected" in lines[4]
 
 
 PRESET_ESTIMATOR_SECTIONS = {

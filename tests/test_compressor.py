@@ -258,17 +258,18 @@ def test_exact_moments_match_a_per_outcome_loop(case):
         assert mse == mses[i]
 
 
-def test_outcome_tables():
-    for d in range(1, 8):
-        for k in range(1, d + 1):
-            keep, prob, scale = RandK(k=k).outcomes(d)
-            assert [tuple(np.flatnonzero(row)) for row in keep] == list(itertools.combinations(range(d), k))
-            assert prob.sum() == pytest.approx(1.0, rel=1e-14) and scale == d / k
-    keep, prob, scale = BernoulliScale(q=0.25).outcomes(3)
-    assert keep.shape == (8, 3) and keep[5].tolist() == [True, False, True]
-    assert prob[5] == 0.25**2 * 0.75 and scale == 4.0
-    keep, prob, scale = Identity().outcomes(4)
-    assert keep.tolist() == [[True] * 4] and prob.tolist() == [1.0] and scale == 1.0
+def test_exact_moments_memory_is_linear_in_d():
+    """C(5000, 1) subsets: per-coordinate moments hold O(d), never a table of outcomes."""
+    comp, x = RandK(k=1), np.ones(5000)
+    comp.exact_moments(x)  # warm up
+    tracemalloc.start()
+    try:
+        _, mse = comp.exact_moments(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert mse == pytest.approx(comp.omega(5000) * 5000, rel=1e-12, abs=0)
 
 
 def test_exact_oracles_never_compress(monkeypatch):
@@ -291,8 +292,7 @@ def test_exact_oracles_never_compress(monkeypatch):
         assert mse == pytest.approx(comp.omega(6) * 6.0, rel=1e-12)
         for est in (CDGD(compressor=comp), DIANA(compressor=comp)):
             state = est.init_state(problem, constants, x)
-            np.testing.assert_allclose(
-                est.exact_mean(problem, constants, state, x), problem.eval_full_grad(x), rtol=1e-10, atol=1e-12
-            )
-            assert math.isfinite(est.exact_second_moment(problem, constants, state, x))
-        assert math.isfinite(DIANA(compressor=comp).exact_sigma_next(problem, constants, state, x))
+            mean, second, sigma_next = est.exact_moments(problem, constants, state, x)
+            np.testing.assert_allclose(mean, problem.eval_full_grad(x), rtol=1e-10, atol=1e-12)
+            assert math.isfinite(second)
+        assert math.isfinite(sigma_next)  # DIANA's, the last of the pair

@@ -193,7 +193,7 @@ def test_rcd_two_point_outcome_space():
     st = est.init_state(prob, cons, x)
     G, _ = _replicas(est, x, st, np.random.default_rng(8), 100, prob, cons)
     assert {tuple(g) for g in G} == {(2.0, 0.0), (0.0, 6.0)}
-    np.testing.assert_allclose(est.exact_mean(prob, cons, st, x), [1.0, 3.0], rtol=1e-15)
+    np.testing.assert_allclose(est.exact_moments(prob, cons, st, x)[0], [1.0, 3.0], rtol=1e-15)
 
 
 def _replay_layout_v2(est, shadow_chunk, check_step, trial=3, seed=1234):
@@ -295,7 +295,7 @@ def test_exact_mean_is_full_gradient(est):
     for _ in range(20):
         x = CONSTANTS.x_star + rng.standard_normal(PROBLEM.d)
         st = est.init_state(PROBLEM, CONSTANTS, rng.standard_normal(PROBLEM.d))
-        mean = est.exact_mean(PROBLEM, CONSTANTS, st, x)
+        mean, _, _ = est.exact_moments(PROBLEM, CONSTANTS, st, x)
         target = PROBLEM.eval_full_grad(x)
         scale = max(1.0, float(np.abs(target).max()))
         np.testing.assert_allclose(mean, target, rtol=1e-12, atol=1e-12 * scale + atol)
@@ -345,7 +345,7 @@ def test_sigma_recursion_exact_two_branch_lsvrg():
         np.mean(np.sum((PROBLEM.component_grads(x) - CONSTANTS.grads_at_star) ** 2, axis=1))
     )
     expected = (1 - est.p) * st.sigma_sq + est.p * sigma_x
-    assert est.exact_sigma_next(PROBLEM, CONSTANTS, st, x) == pytest.approx(expected, rel=1e-14)
+    assert est.exact_moments(PROBLEM, CONSTANTS, st, x)[2] == pytest.approx(expected, rel=1e-14)
 
 
 def test_diana_sigma_recursion_matches_monte_carlo():
@@ -355,7 +355,7 @@ def test_diana_sigma_recursion_matches_monte_carlo():
     st = est.init_state(PROBLEM, CONSTANTS, x)
     st.shifts = CONSTANTS.grads_at_star + 0.5 * rng.standard_normal(st.shifts.shape)
     st.sigma_sq = float(np.mean(np.sum((st.shifts - CONSTANTS.grads_at_star) ** 2, axis=1)))
-    exact = est.exact_sigma_next(PROBLEM, CONSTANTS, st, x)
+    _, _, exact = est.exact_moments(PROBLEM, CONSTANTS, st, x)
     samples = 20000
     _, batch = _replicas(est, x, st, rng, samples)
     vals = batch.sigma_sq

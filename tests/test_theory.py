@@ -187,12 +187,19 @@ def test_stepsize_rejection_reports_maximum():
     max_str = f"{max_stepsize(cert, 1.0, 0.0):g}"
     with pytest.raises(StepsizeError, match=max_str):
         bound_curve(cert, 1.0, 0.3, 0.0, 1.0)
+    # NaN fails every comparison, so it must not pass as an admissible stepsize
+    with pytest.raises(StepsizeError, match="stepsize must be > 0, got nan"):
+        bound_curve(cert, 1.0, float("nan"), 0.0, 1.0)
 
 
 def test_invalid_lyapunov_weight_rejected():
     cert = lsvrg_cert(3.0, 0.1)
     with pytest.raises(StepsizeError, match="B/rho"):
         max_stepsize(cert, 1.0, cert.B / cert.rho)  # boundary value is not enough
+    with pytest.raises(StepsizeError, match="M must be >= 0, got nan"):
+        max_stepsize(cert, 1.0, float("nan"))
+    with pytest.raises(StepsizeError, match="M must be >= 0, got nan"):
+        bound_curve(gd_cert(4.0), 1.0, 0.1, float("nan"), 1.0)
 
 
 def test_full_stepsize_edge_gives_zero_contraction():
