@@ -23,6 +23,7 @@ from .harness import (
     verify_bound,
     verify_compressor,
 )
+from .problem import compute_constants
 from .theory import StepsizeError
 
 
@@ -126,21 +127,30 @@ def _cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("--gammas produced an empty grid")
 
-    rows = []
+    # the constants once for the whole grid; every admissible gamma then runs in one kernel call
+    experiment = loaded.experiment
+    constants = compute_constants(experiment.problem)
+    entries = []  # (gamma, resolved experiment or the StepsizeError that rejected it)
     for gamma in grid:
-        loaded.experiment.gamma = gamma
+        experiment.gamma = gamma
         try:
-            resolved = loaded.experiment.resolve()
+            entries.append((gamma, experiment.resolve(constants)))
         except StepsizeError as exc:
-            rows.append((gamma, "", "", f"rejected: {exc}"))
+            entries.append((gamma, exc))
+    admissible = [entry for _, entry in entries if not isinstance(entry, StepsizeError)]
+    stats = iter(run_monte_carlo(admissible) if admissible else [])
+
+    rows = []
+    for gamma, entry in entries:
+        if isinstance(entry, StepsizeError):
+            rows.append((gamma, "", "", f"rejected: {entry}"))
             if not args.quiet:
-                print(f"gamma={gamma:.6g} rejected: {exc}")
+                print(f"gamma={gamma:.6g} rejected: {entry}")
             continue
-        stats = run_monte_carlo(resolved)
-        tail = tail_mean(stats.mean_dist_sq)
-        rows.append((gamma, "%.17g" % tail, "%.17g" % resolved.curve.floor, "ok"))
+        tail = tail_mean(next(stats).mean_dist_sq)
+        rows.append((gamma, "%.17g" % tail, "%.17g" % entry.curve.floor, "ok"))
         if not args.quiet:
-            print(f"gamma={gamma:.6g} tail={tail:.6e} floor={resolved.curve.floor:.6e}")
+            print(f"gamma={gamma:.6g} tail={tail:.6e} floor={entry.curve.floor:.6e}")
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -180,7 +190,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except TrajectoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} at gamma={exc.gamma!r}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

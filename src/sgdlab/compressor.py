@@ -66,12 +66,13 @@ class Compressor:
         """Exact (E[Q(x)], E||Q(x) - x||^2) of every vector x in X (..., d), by coordinate.
 
         Returns means p s X (..., d) and mean squared errors
-        (p (s-1)^2 + 1 - p) ||x||^2 (...); row i equals the call on X[i] bit for bit.
+        (p (s-1)^2 + (1 - p)) ||x||^2 (...); row i equals the call on X[i] bit for bit.
         """
         X = np.asarray(X, dtype=float)
         p, s = self.keep_scale(X.shape[-1])
-        # a sum along the last axis keeps rows independent
-        return p * s * X, (p * (s - 1.0) ** 2 + 1.0 - p) * (X * X).sum(axis=-1)
+        # 1 - p first: it is exact for p >= 1/2, where adding 1 to the small first term
+        # and then subtracting p cancels digits; a sum along the last axis keeps rows independent
+        return p * s * X, (p * (s - 1.0) ** 2 + (1.0 - p)) * (X * X).sum(axis=-1)
 
     def describe(self) -> str:
         return self.name

@@ -14,19 +14,32 @@ steps (a full chunk even when fewer steps remain, so steps 1..K do not depend
 on K), the initial direction from default_rng([base_seed, 1]), verification
 point j from default_rng([base_seed, 2, j]).  Every batched contraction is an
 np.einsum, whose rows do not depend on the batch size, so results are bitwise
-the same however trials are split into blocks and replicas into chunks.  Trial
-blocks are sized from the memory budget BLOCK_BYTES.  A trajectory step does
-only the estimator's arithmetic and buffers its squared distances; the
-finiteness check and the records are settled once per chunk of STREAM_CHUNK
-steps.  The estimators index components they drew themselves, so they call
-the problem's unchecked grad_i, not eval_grad_i.  Verifier replicas share
-their point as one row that is evaluated once, and stream through chunks of
-REPLICA_BYTES per (rows, n, d) array, small enough to stay in cache.
+the same however trials are split into blocks and replicas into chunks.
+
+A stepsize grid, resolved experiments that differ only in gamma, is one run of
+the kernel.  They resolve against one compute_constants (resolve takes the
+constants), and their rows are the (gamma, trial) pairs, gamma-major: each
+trial's draws are taken once per chunk and tiled across the gammas, so every
+gamma sees the same random numbers (common random numbers), and each row
+equals its gamma's own run bit for bit.  A single experiment is the grid of
+one gamma.  Trial blocks hold all the gammas of a range of trials and are
+sized from the memory budget BLOCK_BYTES.  A divergence raises one
+TrajectoryError naming the first non-finite iteration and its trial, with
+the stepsize of that row as its gamma attribute.
+
+A trajectory step does only the estimator's arithmetic and buffers its
+squared distances; the finiteness check and the records are settled once
+per chunk of STREAM_CHUNK steps.  The estimators index components they drew
+themselves, so they call the problem's unchecked grad_i, not eval_grad_i.
+Verifier replicas share their point as one row that is evaluated once, and
+stream through chunks of REPLICA_BYTES per (rows, n, d) array, small enough
+to stay in cache.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,17 +65,24 @@ EXACT_MARGIN_RTOL = 1e-10
 
 
 class TrajectoryError(RuntimeError):
-    """A trajectory produced a non-finite iterate."""
+    """A trajectory produced a non-finite iterate; gamma is the stepsize of its row."""
+
+    def __init__(self, message: str, gamma: float | None = None):
+        super().__init__(message)
+        self.gamma = gamma
 
 
-def _rows_per_block(problem: FiniteSumProblem, draw_bytes: int) -> int:
-    """Rows of one batch within BLOCK_BYTES, given the bytes of one row's draws.
+def _row_bytes(resolved: "ResolvedExperiment") -> int:
+    """Bytes one row of a trial block holds.
 
-    A row also holds ROW_TEMPS (n, d) float arrays and its two columns of
-    per-step buffers, squared distances and sigma_k^2, of STREAM_CHUNK floats each.
+    A row holds one chunk of its draws, ROW_TEMPS (n, d) float arrays and its
+    two columns of per-step buffers, squared distances and sigma_k^2, of
+    STREAM_CHUNK floats each.
     """
-    row_bytes = draw_bytes + 8 * ROW_TEMPS * problem.n * problem.d + 2 * 8 * STREAM_CHUNK
-    return max(1, BLOCK_BYTES // row_bytes)
+    problem = resolved.problem
+    probe = resolved.estimator.draw(problem, np.random.default_rng(0), STREAM_CHUNK)
+    draw_bytes = sum(a.nbytes for a in probe)
+    return draw_bytes + 8 * ROW_TEMPS * problem.n * problem.d + 2 * 8 * STREAM_CHUNK
 
 
 @dataclass
@@ -103,10 +123,15 @@ class ExperimentConfig:
         if not isinstance(self.record_every, str) and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
-    def resolve(self) -> "ResolvedExperiment":
-        """Materialize all 'auto' fields against the problem's certificate."""
+    def resolve(self, constants: ProblemConstants | None = None) -> "ResolvedExperiment":
+        """Materialize all 'auto' fields against the problem's certificate.
+
+        constants, if given, are the problem's compute_constants, which a
+        stepsize grid computes once for all its entries.
+        """
         self.validate()
-        constants = compute_constants(self.problem)
+        if constants is None:
+            constants = compute_constants(self.problem)
         cert = self.estimator.certificate(self.problem, constants)
         M = default_M(cert) if self.lyapunov_m == "auto" else float(self.lyapunov_m)
         gmax = max_stepsize(cert, constants.mu, M)
@@ -207,30 +232,38 @@ def _roundoff(resolved: ResolvedExperiment) -> float:
     return rho * (1.0 + math.sqrt(1.0 - rate)) / rate + 2.0 * delta
 
 
-def run_trajectory(resolved: ResolvedExperiment, trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """Run the seeded trajectories of a range of trials as one batch.
+def run_trajectory(
+    resolved: ResolvedExperiment, trials: range, gammas: Sequence[float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the seeded trajectories of a range of trials at a grid of stepsizes as one batch.
 
-    Returns (dist_sq, sigma_sq), each (len(trials), len(record_ks)).  Row r
-    does not depend on which other trials share the batch.  Raises
-    TrajectoryError at the first iteration, k = 0 included, at which some
-    trial's squared distance to x* is not finite.
+    gammas defaults to (resolved.gamma,).  Returns (dist_sq, sigma_sq), each
+    (len(gammas) * len(trials), len(record_ks)); row g * len(trials) + i is
+    trial trials[i] at gammas[g], and it does not depend on which other
+    trials or gammas share the batch.  Raises TrajectoryError at the first
+    iteration, k = 0 included, at which some row's squared distance to x* is
+    not finite, naming the row's trial and, in its gamma attribute, its gamma.
 
     A step only advances X and writes the squared distances of its rows into
-    a (STREAM_CHUNK, R) buffer, and sigma_k^2 into another where k is
+    a (STREAM_CHUNK, rows) buffer, and sigma_k^2 into another where k is
     recorded.  The finiteness test and the copies into the results run once
     per chunk; rows that diverged mid-chunk step on as inf or nan, which no
     step reads back into another row, until the chunk is settled.
     """
     problem, est, constants = resolved.problem, resolved.estimator, resolved.constants
-    gamma, x_star, ks = resolved.gamma, constants.x_star, resolved.record_ks
+    x_star, ks = constants.x_star, resolved.record_ks
+    gammas = [float(g) for g in ([resolved.gamma] if gammas is None else gammas)]
     rngs = [np.random.default_rng([resolved.base_seed, TRIAL_STREAM, r]) for r in trials]
-    R = len(rngs)
-    dist = np.empty((R, len(ks)))
-    sig = np.empty((R, len(ks)))
-    X = np.tile(resolved.x0, (R, 1))
+    R, G = len(rngs), len(gammas)
+    rows = G * R
+    # a float factor where there is one gamma: a (rows, 1) column costs more per step
+    gamma = gammas[0] if G == 1 else np.repeat(gammas, R)[:, None]
+    dist = np.empty((rows, len(ks)))
+    sig = np.empty((rows, len(ks)))
+    X = np.tile(resolved.x0, (rows, 1))
     diff = np.empty_like(X)
-    d2buf = np.empty((STREAM_CHUNK, R))
-    sigbuf = np.empty((STREAM_CHUNK, R))
+    d2buf = np.empty((STREAM_CHUNK, rows))
+    sigbuf = np.empty((STREAM_CHUNK, rows))
     recorded = set(ks.tolist())
 
     def settle(first: int, d2: np.ndarray, sigma: np.ndarray) -> None:
@@ -238,21 +271,25 @@ def run_trajectory(resolved: ResolvedExperiment, trials: range) -> tuple[np.ndar
         finite = np.isfinite(d2)
         if not finite.all():
             t, row = np.unravel_index(np.argmin(finite), finite.shape)
-            raise TrajectoryError(f"non-finite iterate at iteration {first + t} in trial {trials[row]}")
+            g, i = divmod(int(row), R)
+            raise TrajectoryError(
+                f"non-finite iterate at iteration {first + t} in trial {trials[i]}", gamma=gammas[g]
+            )
         lo, hi = np.searchsorted(ks, [first, first + len(d2)])
         dist[:, lo:hi] = d2[ks[lo:hi] - first].T
         sig[:, lo:hi] = sigma[ks[lo:hi] - first].T
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        state = est.init_state(problem, constants, resolved.x0).tile(R)
+        state = est.init_state(problem, constants, resolved.x0).tile(rows)
         np.subtract(X, x_star, out=diff)
         np.einsum("rd,rd->r", diff, diff, out=d2buf[0])
         sigbuf[0] = state.sigma_sq
         settle(0, d2buf[:1], sigbuf[:1])
         for start in range(0, resolved.steps, STREAM_CHUNK):
-            # chunk[j][t] holds draw array j of step start + t + 1 for every trial
+            # chunk[j][t] holds draw array j of step start + t + 1 for every row: the
+            # trials' draws in trial order, repeated once per gamma
             per_trial = [est.draw(problem, rng, STREAM_CHUNK) for rng in rngs]
-            chunk = [np.stack(arrays, axis=1) for arrays in zip(*per_trial)]
+            chunk = [np.stack(arrays * G, axis=1) for arrays in zip(*per_trial)]
             T = min(STREAM_CHUNK, resolved.steps - start)
             for t in range(T):
                 X -= gamma * est.step(problem, constants, X, state, [a[t] for a in chunk])
@@ -264,35 +301,72 @@ def run_trajectory(resolved: ResolvedExperiment, trials: range) -> tuple[np.ndar
     return dist, sig
 
 
-def run_monte_carlo(config: ExperimentConfig | ResolvedExperiment) -> TrajectoryStats:
-    """Run all trials in blocks of the memory budget and aggregate in trial order."""
+def _check_grid(grid: Sequence[ResolvedExperiment]) -> None:
+    """Raise ValueError unless the experiments differ in nothing but gamma (and what follows from it)."""
+    if not grid:
+        raise ValueError("a stepsize grid needs at least one experiment")
+    first = grid[0]
+    for other in grid[1:]:
+        shared = (
+            other.problem is first.problem
+            and other.estimator is first.estimator
+            and other.constants is first.constants
+            and (other.steps, other.trials, other.base_seed) == (first.steps, first.trials, first.base_seed)
+            and np.array_equal(other.x0, first.x0)
+            and np.array_equal(other.record_ks, first.record_ks)
+        )
+        if not shared:
+            raise ValueError(
+                "the experiments of a stepsize grid must share their problem, estimator and constants "
+                "objects, x0, steps, trials, base_seed and record_ks"
+            )
+
+
+def run_monte_carlo(
+    config: ExperimentConfig | ResolvedExperiment | Sequence[ResolvedExperiment],
+) -> TrajectoryStats | list[TrajectoryStats]:
+    """Run all trials in blocks of the memory budget and aggregate in trial order.
+
+    A sequence of resolved experiments that differ only in gamma runs as one
+    stepsize grid through one kernel, and gives one TrajectoryStats per
+    experiment, each bitwise what the experiment gives alone.
+    """
     resolved = config.resolve() if isinstance(config, ExperimentConfig) else config
-    R = resolved.trials
-    nrec = len(resolved.record_ks)
-    probe = resolved.estimator.draw(resolved.problem, np.random.default_rng(0), STREAM_CHUNK)
-    block = _rows_per_block(resolved.problem, sum(a.nbytes for a in probe))
-    dist = np.empty((R, nrec))
-    sig = np.empty((R, nrec))
+    grid = [resolved] if isinstance(resolved, ResolvedExperiment) else list(resolved)
+    _check_grid(grid)
+    first = grid[0]
+    G, R, nrec = len(grid), first.trials, len(first.record_ks)
+    gammas = [e.gamma for e in grid]
+    block = max(1, BLOCK_BYTES // (G * _row_bytes(first)))
+    dist = np.empty((G, R, nrec))
+    sig = np.empty((G, R, nrec))
     for start in range(0, R, block):
         stop = min(R, start + block)
-        dist[start:stop], sig[start:stop] = run_trajectory(resolved, range(start, stop))
+        d, s = run_trajectory(first, range(start, stop), gammas)
+        dist[:, start:stop] = d.reshape(G, stop - start, nrec)
+        sig[:, start:stop] = s.reshape(G, stop - start, nrec)
 
-    V = dist + resolved.M * resolved.gamma**2 * sig
-    with np.errstate(under="ignore"):
-        std_V = V.std(axis=0, ddof=1) if R > 1 else np.zeros(nrec)
-        bound_V = np.asarray(resolved.curve.bound_at(resolved.record_ks), dtype=float)
-        return TrajectoryStats(
-            ks=resolved.record_ks.copy(),
-            mean_dist_sq=dist.mean(axis=0),
-            mean_sigma_sq=sig.mean(axis=0),
-            mean_V=V.mean(axis=0),
-            std_V=std_V,
-            bound_V=bound_V,
-            trials=R,
-            gamma=resolved.gamma,
-            M=resolved.M,
-            roundoff=_roundoff(resolved),
-        )
+    stats = []
+    for e, dist_g, sig_g in zip(grid, dist, sig):
+        V = dist_g + e.M * e.gamma**2 * sig_g
+        with np.errstate(under="ignore"):
+            std_V = V.std(axis=0, ddof=1) if R > 1 else np.zeros(nrec)
+            bound_V = np.asarray(e.curve.bound_at(e.record_ks), dtype=float)
+            stats.append(
+                TrajectoryStats(
+                    ks=e.record_ks.copy(),
+                    mean_dist_sq=dist_g.mean(axis=0),
+                    mean_sigma_sq=sig_g.mean(axis=0),
+                    mean_V=V.mean(axis=0),
+                    std_V=std_V,
+                    bound_V=bound_V,
+                    trials=R,
+                    gamma=e.gamma,
+                    M=e.M,
+                    roundoff=_roundoff(e),
+                )
+            )
+    return stats[0] if isinstance(resolved, ResolvedExperiment) else stats
 
 
 def tail_mean(values: np.ndarray, fraction: float = 0.1) -> float:

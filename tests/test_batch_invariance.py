@@ -3,15 +3,17 @@
 Every output must be the same, bit for bit, however trials are split into
 blocks and verifier replicas into chunks, and the first K steps of a run must
 not depend on how many steps follow them.  A step at one row shared by all
-replicas must give what the step at that row tiled gives.
+replicas must give what the step at that row tiled gives.  A stepsize grid
+run as one batch must give each gamma what its own run gives.
 """
 
+import dataclasses
 import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgdlab import harness
@@ -31,6 +33,7 @@ from sgdlab.harness import (
     ExperimentConfig,
     _mc_moments,
     _perturbed_state,
+    run_monte_carlo,
     run_trajectory,
 )
 from sgdlab.problem import compute_constants, random_logistic, random_quadratic
@@ -67,6 +70,21 @@ def _resolved(kind, family, d, compressor, seed, trials, steps):
         problem=prob, estimator=est, steps=steps, trials=trials, base_seed=seed, record_every=1
     )
     return cfg.resolve()
+
+
+def _grid(kind, family, d, compressor, seed, trials, steps, fractions):
+    """Resolved experiments at fractions of the maximal stepsize, sharing problem, estimator and constants."""
+    prob, cons = _problem(family, d)
+    cfg = ExperimentConfig(
+        problem=prob, estimator=KINDS[kind](COMPRESSORS[compressor]), steps=steps, trials=trials,
+        base_seed=seed, record_every=1,
+    )
+    gamma_max = cfg.resolve(cons).gamma
+    grid = []
+    for f in fractions:
+        cfg.gamma = f * gamma_max
+        grid.append(cfg.resolve(cons))
+    return grid
 
 
 def _blocks(resolved, trials, size):
@@ -157,3 +175,66 @@ def test_a_shared_row_steps_like_its_tiles(kind, family, seed, rows, compressor)
         np.testing.assert_array_equal(np.broadcast_to(G, G_tiled.shape), G_tiled, err_msg=f"d={d}")
         for field in ("sigma_sq", "shifts", "shift_mean"):
             np.testing.assert_array_equal(getattr(shared, field), getattr(tiled, field), err_msg=f"d={d}")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@BOUNDED
+@given(
+    d=st.sampled_from(DIMS),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(2, 6),
+    steps=st.integers(1, 10),
+    fractions=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+    block_trials=st.integers(1, 5),
+    compressor=st.sampled_from(sorted(COMPRESSORS)),
+)
+# always one grid of several gammas and trials per block: tiling the draws trial-major fails it
+@example(d=5, seed=0, trials=5, steps=3, fractions=[1.0, 0.5, 0.25], block_trials=2, compressor="bernoulli")
+def test_grid_rows_equal_each_gammas_own_run(
+    kind, family, d, seed, trials, steps, fractions, block_trials, compressor
+):
+    """Rows are (gamma, trial) pairs, gamma-major, and each equals the gamma's own run bit for bit.
+
+    The whole grid is one batch of every trial; run_monte_carlo splits it
+    into blocks of block_trials trials, each holding every gamma.
+    """
+    grid = _grid(kind, family, d, compressor, seed, trials, steps, fractions)
+    own = [run_trajectory(e, range(trials)) for e in grid]
+    G, R = len(grid), trials
+    whole = run_trajectory(grid[0], range(trials), [e.gamma for e in grid])
+    for g in range(G):
+        for rows, ref in zip(whole, own[g]):
+            np.testing.assert_array_equal(rows[g * R : (g + 1) * R], ref, err_msg=f"gamma {g}")
+
+    blocks = []
+
+    def recorded(resolved, block, gammas):
+        out = run_trajectory(resolved, block, gammas)
+        blocks.append((block, out))
+        return out
+
+    budget = block_trials * G * harness._row_bytes(grid[0])
+    with mock.patch.object(harness, "BLOCK_BYTES", budget), mock.patch.object(harness, "run_trajectory", recorded):
+        stats = run_monte_carlo(grid)
+    assert [b for b, _ in blocks] == [range(a, min(R, a + block_trials)) for a in range(0, R, block_trials)]
+    for g, (e, s) in enumerate(zip(grid, stats)):
+        for j in (0, 1):  # dist, sigma: this gamma's rows of every block, in trial order
+            rows = np.concatenate([out[j].reshape(G, len(b), -1)[g] for b, out in blocks])
+            np.testing.assert_array_equal(rows, own[g][j], err_msg=f"gamma {g}")
+        alone = run_monte_carlo(e)
+        for name in ("mean_dist_sq", "mean_sigma_sq", "mean_V", "std_V", "bound_V"):
+            np.testing.assert_array_equal(getattr(s, name), getattr(alone, name), err_msg=f"{name} gamma {g}")
+        assert (s.gamma, s.M, s.roundoff) == (alone.gamma, alone.M, alone.roundoff)
+
+
+def test_grid_rejects_experiments_that_differ_in_more_than_gamma():
+    grid = _grid("sgd", "quadratic", 5, "rand_k", 3, 4, 5, [0.5, 0.25])
+    run_monte_carlo(grid)
+    other_seed = ExperimentConfig(
+        problem=grid[0].problem, estimator=grid[0].estimator, steps=5, trials=4, base_seed=4,
+        record_every=1, gamma=grid[1].gamma,
+    ).resolve(grid[0].constants)
+    for bad in ([], [grid[0], other_seed], [grid[0], dataclasses.replace(grid[1], steps=6)]):
+        with pytest.raises(ValueError, match="grid"):
+            run_monte_carlo(bad)

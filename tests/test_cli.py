@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 import sgdlab.cli as cli
-from sgdlab.harness import Check, Report
+from sgdlab import harness
+from sgdlab.config import parse_config
+from sgdlab.harness import Check, Report, tail_mean
+from sgdlab.problem import compute_constants
+from sgdlab.theory import StepsizeError
 
 ISOTROPIC_GD = """
 [problem]
@@ -352,6 +356,68 @@ def test_sweep_halving_gamma_halves_the_plateau(tmp_path):
     ratio = tails[1] / tails[0]
     # the floor is linear in gamma: expect the plateau ratio near 0.5
     assert 0.3 * 0.5 <= ratio <= 1.0 * 0.5 + 0.05
+
+
+SWEEP_SGD = LSVRG_CONF.replace("kind = lsvrg\np = 0.05", "kind = sgd").replace("steps = 400", "steps = 300")
+
+
+def test_sweep_computes_the_constants_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return compute_constants(problem)
+
+    monkeypatch.setattr(cli, "compute_constants", counted)
+    monkeypatch.setattr(harness, "compute_constants", counted)
+    cfg = write(tmp_path, SWEEP_SGD)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet",
+                     "--gammas", "0.05,9.0,0.025,0.0125"]) == 0
+    assert len(calls) == 1
+
+
+def test_sweep_equals_a_loop_of_runs(tmp_path, capsys):
+    """One kernel call for the grid gives what one `run` per stepsize gives, byte for byte."""
+    grid = ["0.05", "9.0", "0.025", "nan", "0.0125", "0.05"]
+    cfg = write(tmp_path, SWEEP_SGD)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep"), "--gammas", ",".join(grid)]) == 0
+    out = capsys.readouterr().out
+
+    rows, stdout = [], []
+    experiment = parse_config(cfg).experiment
+    for i, tok in enumerate(grid):
+        gamma = experiment.gamma = float(tok)
+        try:
+            experiment.resolve()
+        except StepsizeError as exc:
+            rows.append("%.17g,,,rejected: %s" % (gamma, exc))
+            stdout.append(f"gamma={gamma:.6g} rejected: {exc}")
+            continue
+        run_cfg = write(tmp_path, SWEEP_SGD.replace("gamma = auto", f"gamma = {tok}"), name=f"g{i}.ini")
+        code = cli.main(["run", "--config", run_cfg, "--out", str(tmp_path / f"run{i}"), "--quiet"])
+        assert code == 0
+        _, traj = read_csv(tmp_path / f"run{i}" / "trajectory.csv")
+        tail = tail_mean(traj[:, 1])
+        manifest = configparser.ConfigParser()
+        manifest.read(tmp_path / f"run{i}" / "manifest")
+        floor = float(manifest["certificate"]["floor"])
+        rows.append("%.17g,%.17g,%.17g,ok" % (gamma, tail, floor))
+        stdout.append(f"gamma={gamma:.6g} tail={tail:.6e} floor={floor:.6e}")
+    assert sum(row.endswith(",ok") for row in rows) == 4
+    expected_csv = "gamma,tail_mean_dist_sq,floor,status\n" + "\n".join(rows) + "\n"
+    assert (tmp_path / "sweep" / "sweep.csv").read_text() == expected_csv
+    assert out == "\n".join(stdout) + f"\nwrote {tmp_path / 'sweep' / 'sweep.csv'}\n"
+
+
+def test_diverging_sweep_is_a_one_line_error_naming_the_gamma(tmp_path):
+    cfg = write(tmp_path, SWEEP_SGD.replace("[run]", "[run]\nx0_radius = 1e200"))
+    proc = _run_cli_process("sweep", "--config", cfg, "--out", str(tmp_path), "--quiet",
+                            "--gammas", "9.0,0.025,0.05")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    # 9.0 is rejected, so the first admissible gamma diverges first, at its start
+    assert "iteration 0 in trial 0 at gamma=0.025" in proc.stderr
 
 
 def test_list_is_stable_and_names_formulas(capsys):
