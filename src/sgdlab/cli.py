@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +24,6 @@ from .harness import (
     verify_bound,
     verify_compressor,
 )
-from .problem import compute_constants
 from .theory import StepsizeError
 
 
@@ -65,6 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     loaded = parse_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         loaded.experiment.base_seed = args.seed
     if args.trials is not None:
         loaded.experiment.trials = args.trials
@@ -118,6 +120,14 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _at_gamma(resolved, gamma: float):
+    """The run at gamma, or the StepsizeError that rejects gamma."""
+    try:
+        return resolved.at_gamma(gamma)
+    except StepsizeError as exc:
+        return exc
+
+
 def _cmd_sweep(args) -> int:
     loaded = _load(args)
     try:
@@ -127,36 +137,29 @@ def _cmd_sweep(args) -> int:
     if not grid:
         raise ConfigError("--gammas produced an empty grid")
 
-    # the constants once for the whole grid; every admissible gamma then runs in one kernel call
-    experiment = loaded.experiment
-    constants = compute_constants(experiment.problem)
-    entries = []  # (gamma, resolved experiment or the StepsizeError that rejected it)
-    for gamma in grid:
-        experiment.gamma = gamma
-        try:
-            entries.append((gamma, experiment.resolve(constants)))
-        except StepsizeError as exc:
-            entries.append((gamma, exc))
-    admissible = [entry for _, entry in entries if not isinstance(entry, StepsizeError)]
-    stats = iter(run_monte_carlo(admissible) if admissible else [])
+    # one resolve for the whole grid; every admissible gamma then runs in one kernel call
+    try:
+        resolved = replace(loaded.experiment, gamma="auto").resolve()
+        entries = [(gamma, _at_gamma(resolved, gamma)) for gamma in grid]
+    except StepsizeError as exc:  # the configured lyapunov_m admits no stepsize
+        entries = [(gamma, exc) for gamma in grid]
+    admissible = [gamma for gamma, entry in entries if not isinstance(entry, StepsizeError)]
+    stats = iter(run_monte_carlo(resolved, admissible) if admissible else [])
 
-    rows = []
+    lines = ["gamma,tail_mean_dist_sq,floor,status"]
     for gamma, entry in entries:
         if isinstance(entry, StepsizeError):
-            rows.append((gamma, "", "", f"rejected: {entry}"))
+            lines.append("%.17g,,,rejected: %s" % (gamma, entry))
             if not args.quiet:
                 print(f"gamma={gamma:.6g} rejected: {entry}")
             continue
         tail = tail_mean(next(stats).mean_dist_sq)
-        rows.append((gamma, "%.17g" % tail, "%.17g" % entry.curve.floor, "ok"))
+        lines.append("%.17g,%.17g,%.17g,ok" % (gamma, tail, entry.curve.floor))
         if not args.quiet:
             print(f"gamma={gamma:.6g} tail={tail:.6e} floor={entry.curve.floor:.6e}")
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = ["gamma,tail_mean_dist_sq,floor,status"]
-    for gamma, tail, floor, status in rows:
-        lines.append("%.17g,%s,%s,%s" % (gamma, tail, floor, status))
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n", newline="\n")
     if not args.quiet:
         print(f"wrote {outdir / 'sweep.csv'}")

@@ -19,6 +19,7 @@ re-running it reproduces the outputs bitwise.
 from __future__ import annotations
 
 import configparser
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -80,6 +81,12 @@ class _Section:
         except ValueError:
             raise ConfigError(f"[{self.name}] {key} must be an integer, got {v!r}") from None
 
+    def get_seed(self) -> int:
+        seed = self.get_int("seed", 0)
+        if seed < 0:
+            raise ConfigError(f"[{self.name}] seed must be a non-negative integer, got {seed}")
+        return seed
+
     def get_float(self, key: str, default=None, auto: bool = False) -> float | str:
         """A number; with auto=True the literal 'auto' is returned as is."""
         v = self._raw(key, default)
@@ -94,14 +101,15 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}")
         return value
 
-    def get_json(self, key: str, default=None):
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
+    def get_array(self, key: str) -> np.ndarray:
+        """A required JSON array of numbers with a regular (not ragged) shape, as floats."""
+        v = self._raw(key, _REQUIRED)
         try:
-            return json.loads(v)
+            return np.asarray(json.loads(v), dtype=float)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"[{self.name}] {key} is not valid JSON: {exc}") from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"[{self.name}] {key} must be an array of numbers with a regular shape") from None
 
     def reject_unknown(self) -> None:
         unknown = set(self.values) - self.seen
@@ -116,13 +124,13 @@ def build_problem(section: _Section) -> FiniteSumProblem:
     family = section.get_str("family", _REQUIRED)
     if family == "quadratic":
         if section.has("matrices") or section.has("offsets"):
-            A = np.asarray(section.get_json("matrices", _REQUIRED), dtype=float)
-            b = np.asarray(section.get_json("offsets", _REQUIRED), dtype=float)
+            A = section.get_array("matrices")
+            b = section.get_array("offsets")
             section.reject_unknown()
             return QuadraticSum(A=A, b=b)
         n = section.get_int("n", _REQUIRED)
         d = section.get_int("d", _REQUIRED)
-        seed = section.get_int("seed", 0)
+        seed = section.get_seed()
         eig_lo = section.get_float("eig_lo", 1.0)
         eig_hi = section.get_float("eig_hi", 3.0)
         shift_scale = section.get_float("shift_scale", 1.0)
@@ -132,14 +140,14 @@ def build_problem(section: _Section) -> FiniteSumProblem:
         )
     if family == "logistic":
         if section.has("features") or section.has("labels"):
-            feats = np.asarray(section.get_json("features", _REQUIRED), dtype=float)
-            labels = np.asarray(section.get_json("labels", _REQUIRED), dtype=float)
+            feats = section.get_array("features")
+            labels = section.get_array("labels")
             ridge = section.get_float("ridge", _REQUIRED)
             section.reject_unknown()
             return LogisticSum(features=feats, labels=labels, ridge=ridge)
         n = section.get_int("n", _REQUIRED)
         d = section.get_int("d", _REQUIRED)
-        seed = section.get_int("seed", 0)
+        seed = section.get_seed()
         ridge = section.get_float("ridge", 0.1)
         feature_scale = section.get_float("feature_scale", 1.0)
         section.reject_unknown()
@@ -219,7 +227,7 @@ def parse_config_text(text: str) -> LoadedConfig:
         lyapunov_m=run.get_float("lyapunov_m", "auto", auto=True),
         steps=run.get_int("steps", 1000),
         trials=run.get_int("trials", 1),
-        base_seed=run.get_int("seed", 0),
+        base_seed=run.get_seed(),
         record_every=(
             "auto" if run.get_str("record_every", "auto") == "auto" else run.get_int("record_every", 0)
         ),
@@ -275,9 +283,6 @@ def manifest_text(loaded: LoadedConfig, resolved: ResolvedExperiment, version: s
         "floor": _fmt(resolved.curve.floor),
     }
     out["tool"] = {"name": "sgdlab", "version": version, "stream": str(STREAM_LAYOUT)}
-
-    import io
-
     buf = io.StringIO()
     out.write(buf)
     return buf.getvalue()

@@ -16,14 +16,16 @@ point j from default_rng([base_seed, 2, j]).  Every batched contraction is an
 np.einsum, whose rows do not depend on the batch size, so results are bitwise
 the same however trials are split into blocks and replicas into chunks.
 
-A stepsize grid, resolved experiments that differ only in gamma, is one run of
-the kernel.  They resolve against one compute_constants (resolve takes the
-constants), and their rows are the (gamma, trial) pairs, gamma-major: each
-trial's draws are taken once per chunk and tiled across the gammas, so every
-gamma sees the same random numbers (common random numbers), and each row
-equals its gamma's own run bit for bit.  A single experiment is the grid of
-one gamma.  Trial blocks hold all the gammas of a range of trials and are
-sized from the memory budget BLOCK_BYTES.  A divergence raises one
+A stepsize grid is resolved once: the certificate, M, x0 and sigma0^2 do
+not depend on gamma, so ResolvedExperiment.at_gamma(gamma) gives the same run
+at another stepsize, with that gamma's bound curve (an inadmissible or NaN
+gamma raises StepsizeError).  run_monte_carlo(resolved, gammas) steps the
+whole grid as one run of the kernel.  Its rows are the (gamma, trial) pairs,
+gamma-major: each trial's draws are taken once per chunk and tiled across the
+gammas, so every gamma sees the same random numbers (common random numbers),
+and each row equals its gamma's own run bit for bit.  A single run is the
+grid of one gamma.  Trial blocks hold all the gammas of a range of trials and
+are sized from the memory budget BLOCK_BYTES.  A divergence raises one
 TrajectoryError naming the first non-finite iteration and its trial, with
 the stepsize of that row as its gamma attribute.
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +64,9 @@ REPLICA_BYTES = 2**17  # size of one (rows, n, d) float array of a verifier repl
 DEFAULT_SLACK_REL = 0.1
 DEFAULT_SLACK_STAT = 4.0
 EXACT_MARGIN_RTOL = 1e-10
+WARMUP_STEPS = 64  # steps of the verifier's warm-up trajectory
+COMPRESSOR_PROBES = 5  # probe vectors of verify_compressor, the last one all ones
+TAIL_FRACTION = 0.1  # trailing share of the records that tail_mean averages
 
 
 class TrajectoryError(RuntimeError):
@@ -123,15 +128,10 @@ class ExperimentConfig:
         if not isinstance(self.record_every, str) and self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
-    def resolve(self, constants: ProblemConstants | None = None) -> "ResolvedExperiment":
-        """Materialize all 'auto' fields against the problem's certificate.
-
-        constants, if given, are the problem's compute_constants, which a
-        stepsize grid computes once for all its entries.
-        """
+    def resolve(self) -> "ResolvedExperiment":
+        """Materialize all 'auto' fields against the problem's certificate."""
         self.validate()
-        if constants is None:
-            constants = compute_constants(self.problem)
+        constants = compute_constants(self.problem)
         cert = self.estimator.certificate(self.problem, constants)
         M = default_M(cert) if self.lyapunov_m == "auto" else float(self.lyapunov_m)
         gmax = max_stepsize(cert, constants.mu, M)
@@ -145,13 +145,9 @@ class ExperimentConfig:
             raw = np.random.default_rng([self.base_seed, INIT_STREAM]).standard_normal(self.problem.d)
             u = raw / np.linalg.norm(raw)
         x0 = constants.x_star + self.x0_radius * u
-
         # a start whose distance overflows is reported by the run as a TrajectoryError
         with np.errstate(over="ignore", invalid="ignore"):
             state0 = self.estimator.init_state(self.problem, constants, x0)
-            diff0 = x0 - constants.x_star
-            V0 = float(diff0 @ diff0) + M * gamma**2 * state0.sigma_sq
-        curve = bound_curve(cert, constants.mu, gamma, M, V0)
 
         stride = max(1, self.steps // 1000) if self.record_every == "auto" else int(self.record_every)
         ks = list(range(0, self.steps + 1, stride))
@@ -171,7 +167,7 @@ class ExperimentConfig:
             record_ks=np.array(ks, dtype=np.int64),
             x0=x0,
             sigma0_sq=state0.sigma_sq,
-            curve=curve,
+            curve=_bound(cert, constants, M, x0, state0.sigma_sq, gamma),
         )
 
 
@@ -192,6 +188,20 @@ class ResolvedExperiment:
     x0: np.ndarray
     sigma0_sq: float
     curve: BoundCurve
+
+    def at_gamma(self, gamma: float) -> "ResolvedExperiment":
+        """The same run at stepsize gamma, with that gamma's bound curve; StepsizeError if gamma is inadmissible."""
+        gamma = float(gamma)
+        curve = _bound(self.certificate, self.constants, self.M, self.x0, self.sigma0_sq, gamma)
+        return replace(self, gamma=gamma, curve=curve)
+
+
+def _bound(cert: Certificate, constants: ProblemConstants, M: float, x0, sigma0_sq, gamma: float) -> BoundCurve:
+    """Bound curve at gamma from V0 = ||x0 - x*||^2 + M gamma^2 sigma0^2 (inf for an overflowing start)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff0 = x0 - constants.x_star
+        V0 = float(diff0 @ diff0) + M * gamma**2 * sigma0_sq
+    return bound_curve(cert, constants.mu, gamma, M, V0)
 
 
 @dataclass
@@ -301,48 +311,27 @@ def run_trajectory(
     return dist, sig
 
 
-def _check_grid(grid: Sequence[ResolvedExperiment]) -> None:
-    """Raise ValueError unless the experiments differ in nothing but gamma (and what follows from it)."""
-    if not grid:
-        raise ValueError("a stepsize grid needs at least one experiment")
-    first = grid[0]
-    for other in grid[1:]:
-        shared = (
-            other.problem is first.problem
-            and other.estimator is first.estimator
-            and other.constants is first.constants
-            and (other.steps, other.trials, other.base_seed) == (first.steps, first.trials, first.base_seed)
-            and np.array_equal(other.x0, first.x0)
-            and np.array_equal(other.record_ks, first.record_ks)
-        )
-        if not shared:
-            raise ValueError(
-                "the experiments of a stepsize grid must share their problem, estimator and constants "
-                "objects, x0, steps, trials, base_seed and record_ks"
-            )
-
-
 def run_monte_carlo(
-    config: ExperimentConfig | ResolvedExperiment | Sequence[ResolvedExperiment],
+    config: ExperimentConfig | ResolvedExperiment, gammas: Sequence[float] | None = None
 ) -> TrajectoryStats | list[TrajectoryStats]:
     """Run all trials in blocks of the memory budget and aggregate in trial order.
 
-    A sequence of resolved experiments that differ only in gamma runs as one
-    stepsize grid through one kernel, and gives one TrajectoryStats per
-    experiment, each bitwise what the experiment gives alone.
+    With gammas, the run steps every gamma of the grid in one kernel and
+    returns one TrajectoryStats per gamma, each bitwise what the run at that
+    gamma gives alone.  Raises ValueError on an empty grid and StepsizeError
+    on an inadmissible gamma.
     """
     resolved = config.resolve() if isinstance(config, ExperimentConfig) else config
-    grid = [resolved] if isinstance(resolved, ResolvedExperiment) else list(resolved)
-    _check_grid(grid)
-    first = grid[0]
-    G, R, nrec = len(grid), first.trials, len(first.record_ks)
-    gammas = [e.gamma for e in grid]
-    block = max(1, BLOCK_BYTES // (G * _row_bytes(first)))
+    grid = [resolved] if gammas is None else [resolved.at_gamma(g) for g in gammas]
+    if not grid:
+        raise ValueError("a stepsize grid needs at least one gamma")
+    G, R, nrec = len(grid), resolved.trials, len(resolved.record_ks)
+    block = max(1, BLOCK_BYTES // (G * _row_bytes(resolved)))
     dist = np.empty((G, R, nrec))
     sig = np.empty((G, R, nrec))
     for start in range(0, R, block):
         stop = min(R, start + block)
-        d, s = run_trajectory(first, range(start, stop), gammas)
+        d, s = run_trajectory(resolved, range(start, stop), [e.gamma for e in grid])
         dist[:, start:stop] = d.reshape(G, stop - start, nrec)
         sig[:, start:stop] = s.reshape(G, stop - start, nrec)
 
@@ -366,12 +355,12 @@ def run_monte_carlo(
                     roundoff=_roundoff(e),
                 )
             )
-    return stats[0] if isinstance(resolved, ResolvedExperiment) else stats
+    return stats[0] if gammas is None else stats
 
 
-def tail_mean(values: np.ndarray, fraction: float = 0.1) -> float:
-    """Mean over the trailing fraction of the recorded values (>= 1 entry)."""
-    n = max(1, int(math.ceil(fraction * len(values))))
+def tail_mean(values: np.ndarray) -> float:
+    """Mean over the trailing TAIL_FRACTION of the recorded values (>= 1 entry)."""
+    n = max(1, int(math.ceil(TAIL_FRACTION * len(values))))
     return float(np.mean(values[-n:]))
 
 
@@ -481,7 +470,6 @@ def verify_assumption(
     samples_per_point: int = 10000,
     seed: int = 0,
     certificate: Certificate | None = None,
-    warmup_steps: int = 64,
 ) -> Report:
     """Check the two certificate inequalities at randomly explored states.
 
@@ -511,8 +499,8 @@ def verify_assumption(
     state = estimator.init_state(problem, constants, x)
     warm: list[tuple[np.ndarray, EstimatorState]] = [(x.copy(), state.copy())]
     X, batch = x[None, :], state.tile(1)
-    draws = estimator.draw(problem, warm_rng, warmup_steps)
-    for t in range(warmup_steps):
+    draws = estimator.draw(problem, warm_rng, WARMUP_STEPS)
+    for t in range(WARMUP_STEPS):
         X = X - gamma * estimator.step(problem, constants, X, batch, [a[t : t + 1] for a in draws])
         warm.append((X[0].copy(), batch.row(0)))
 
@@ -627,8 +615,8 @@ def _compression_moments(compressor, x: np.ndarray, rng, samples: int) -> tuple[
     return mean, np.sqrt(np.maximum(var, 0.0) / samples)
 
 
-def verify_compressor(compressor, d: int, seed: int = 0, num_vectors: int = 5) -> Report:
-    """Check unbiasedness and the omega variance certificate on probe vectors.
+def verify_compressor(compressor, d: int, seed: int = 0) -> Report:
+    """Check unbiasedness and the omega variance certificate on COMPRESSOR_PROBES probe vectors.
 
     Exact from the compressor's per-coordinate moments (exact_moments) up to
     a relative 1e-12.  Above the enumeration limits (over 10^4 rand_k subsets,
@@ -639,7 +627,7 @@ def verify_compressor(compressor, d: int, seed: int = 0, num_vectors: int = 5) -
     rng = np.random.default_rng([seed, VERIFY_STREAM, 2**33])
     omega = compressor.omega(d)
     report = Report(title=f"compressor[{compressor.name}]")
-    probes = [rng.standard_normal(d) for _ in range(num_vectors - 1)]
+    probes = [rng.standard_normal(d) for _ in range(COMPRESSOR_PROBES - 1)]
     probes.append(np.ones(d))
     for idx, x in enumerate(probes):
         norm_sq = float(x @ x)

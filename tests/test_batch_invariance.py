@@ -23,6 +23,7 @@ from sgdlab.estimator import (
     DIANA,
     LSVRG,
     RCD,
+    Estimator,
     FullGradient,
     NoisyGradient,
     SGDStar,
@@ -36,7 +37,8 @@ from sgdlab.harness import (
     run_monte_carlo,
     run_trajectory,
 )
-from sgdlab.problem import compute_constants, random_logistic, random_quadratic
+from sgdlab.problem import FiniteSumProblem, compute_constants, random_logistic, random_quadratic
+from sgdlab.theory import StepsizeError
 
 DIMS = (1, 5, 20, 50)
 FAMILIES = ("quadratic", "logistic")
@@ -73,18 +75,19 @@ def _resolved(kind, family, d, compressor, seed, trials, steps):
 
 
 def _grid(kind, family, d, compressor, seed, trials, steps, fractions):
-    """Resolved experiments at fractions of the maximal stepsize, sharing problem, estimator and constants."""
-    prob, cons = _problem(family, d)
+    """The run at the maximal stepsize, a grid of fractions of it, and each gamma's own resolve.
+
+    The own resolves start again from the config, so at_gamma is never the
+    judge of its own results.
+    """
+    prob, _ = _problem(family, d)
     cfg = ExperimentConfig(
         problem=prob, estimator=KINDS[kind](COMPRESSORS[compressor]), steps=steps, trials=trials,
         base_seed=seed, record_every=1,
     )
-    gamma_max = cfg.resolve(cons).gamma
-    grid = []
-    for f in fractions:
-        cfg.gamma = f * gamma_max
-        grid.append(cfg.resolve(cons))
-    return grid
+    resolved = cfg.resolve()
+    gammas = [f * resolved.gamma for f in fractions]
+    return resolved, gammas, [dataclasses.replace(cfg, gamma=g).resolve() for g in gammas]
 
 
 def _blocks(resolved, trials, size):
@@ -199,10 +202,10 @@ def test_grid_rows_equal_each_gammas_own_run(
     The whole grid is one batch of every trial; run_monte_carlo splits it
     into blocks of block_trials trials, each holding every gamma.
     """
-    grid = _grid(kind, family, d, compressor, seed, trials, steps, fractions)
-    own = [run_trajectory(e, range(trials)) for e in grid]
-    G, R = len(grid), trials
-    whole = run_trajectory(grid[0], range(trials), [e.gamma for e in grid])
+    resolved, gammas, own_runs = _grid(kind, family, d, compressor, seed, trials, steps, fractions)
+    own = [run_trajectory(e, range(trials)) for e in own_runs]
+    G, R = len(gammas), trials
+    whole = run_trajectory(resolved, range(trials), gammas)
     for g in range(G):
         for rows, ref in zip(whole, own[g]):
             np.testing.assert_array_equal(rows[g * R : (g + 1) * R], ref, err_msg=f"gamma {g}")
@@ -214,11 +217,11 @@ def test_grid_rows_equal_each_gammas_own_run(
         blocks.append((block, out))
         return out
 
-    budget = block_trials * G * harness._row_bytes(grid[0])
+    budget = block_trials * G * harness._row_bytes(resolved)
     with mock.patch.object(harness, "BLOCK_BYTES", budget), mock.patch.object(harness, "run_trajectory", recorded):
-        stats = run_monte_carlo(grid)
+        stats = run_monte_carlo(resolved, gammas)
     assert [b for b, _ in blocks] == [range(a, min(R, a + block_trials)) for a in range(0, R, block_trials)]
-    for g, (e, s) in enumerate(zip(grid, stats)):
+    for g, (e, s) in enumerate(zip(own_runs, stats)):
         for j in (0, 1):  # dist, sigma: this gamma's rows of every block, in trial order
             rows = np.concatenate([out[j].reshape(G, len(b), -1)[g] for b, out in blocks])
             np.testing.assert_array_equal(rows, own[g][j], err_msg=f"gamma {g}")
@@ -228,13 +231,35 @@ def test_grid_rows_equal_each_gammas_own_run(
         assert (s.gamma, s.M, s.roundoff) == (alone.gamma, alone.M, alone.roundoff)
 
 
-def test_grid_rejects_experiments_that_differ_in_more_than_gamma():
-    grid = _grid("sgd", "quadratic", 5, "rand_k", 3, 4, 5, [0.5, 0.25])
-    run_monte_carlo(grid)
-    other_seed = ExperimentConfig(
-        problem=grid[0].problem, estimator=grid[0].estimator, steps=5, trials=4, base_seed=4,
-        record_every=1, gamma=grid[1].gamma,
-    ).resolve(grid[0].constants)
-    for bad in ([], [grid[0], other_seed], [grid[0], dataclasses.replace(grid[1], steps=6)]):
-        with pytest.raises(ValueError, match="grid"):
-            run_monte_carlo(bad)
+def _assert_fields_equal(a, b, where):
+    """Dataclasses a and b agree field by field; arrays and floats bitwise, shared objects by identity."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, (FiniteSumProblem, Estimator)):
+            assert x is y, f"{where}.{f.name}"
+        elif dataclasses.is_dataclass(x):
+            _assert_fields_equal(x, y, f"{where}.{f.name}")
+        elif isinstance(x, np.ndarray) or x is None:
+            np.testing.assert_array_equal(x, y, err_msg=f"{where}.{f.name}", strict=True)
+        else:
+            assert np.array(x).tobytes() == np.array(y).tobytes(), f"{where}.{f.name}: {x!r} != {y!r}"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_at_gamma_equals_a_resolve_at_that_gamma(kind, family):
+    resolved, gammas, own_runs = _grid(kind, family, 5, "bernoulli", 7, 3, 4, [1.0, 0.3, 1e-3])
+    for gamma, own in zip(gammas, own_runs):
+        run = resolved.at_gamma(gamma)
+        _assert_fields_equal(run, own, f"gamma={gamma!r}")
+        # V0 is the mean V_0 that the trials record, ||x0 - x*||^2 + M gamma^2 sigma_0^2
+        assert run.curve.V0 == pytest.approx(run_monte_carlo(run).mean_V[0], rel=1e-12, abs=0)
+    for bad in (2.0 * resolved.gamma, float("nan"), 0.0, -resolved.gamma):
+        with pytest.raises(StepsizeError):
+            resolved.at_gamma(bad)
+
+
+def test_an_empty_stepsize_grid_is_an_error():
+    resolved = _resolved("sgd", "quadratic", 5, "rand_k", 3, 4, 5)
+    with pytest.raises(ValueError, match="at least one gamma"):
+        run_monte_carlo(resolved, [])

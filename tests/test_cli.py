@@ -368,12 +368,22 @@ def test_sweep_computes_the_constants_once(tmp_path, monkeypatch):
         calls.append(problem)
         return compute_constants(problem)
 
-    monkeypatch.setattr(cli, "compute_constants", counted)
     monkeypatch.setattr(harness, "compute_constants", counted)
     cfg = write(tmp_path, SWEEP_SGD)
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet",
                      "--gammas", "0.05,9.0,0.025,0.0125"]) == 0
     assert len(calls) == 1
+
+
+def test_sweep_rejects_every_gamma_when_no_stepsize_admits_the_lyapunov_weight(tmp_path, capsys):
+    cfg = write(tmp_path, LSVRG_CONF.replace("gamma = auto", "gamma = auto\nlyapunov_m = 0"))
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--gammas", "0.05,9.0,nan"]) == 0
+    out = capsys.readouterr().out
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.050000000000000003", "9", "nan"]
+    for row in rows:
+        assert ",,,rejected: need M > B/rho = " in row and row.endswith("got M = 0")
+    assert out.count("rejected: need M > B/rho") == 3
 
 
 def test_sweep_equals_a_loop_of_runs(tmp_path, capsys):
@@ -508,6 +518,24 @@ def test_non_finite_input_is_a_one_line_config_error(tmp_path, capsys, old, new)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "conf, extra, key",
+    [
+        (LSVRG_CONF.replace("seed = 11", "seed = -1"), [], "[run] seed"),
+        (LSVRG_CONF.replace("seed = 7", "seed = -1"), [], "[problem] seed"),
+        (LSVRG_CONF, ["--seed", "-1"], "--seed"),
+        (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", "[[[1.0, 0.0], [0.0]]]"), [], "[problem] matrices"),
+        (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", '"x"'), [], "[problem] matrices"),
+    ],
+    ids=["negative-run-seed", "negative-problem-seed", "negative-seed-option", "ragged-matrices", "string-matrices"],
+)
+def test_malformed_input_is_a_one_line_error_naming_the_key(tmp_path, capsys, conf, extra, key):
+    cfg = write(tmp_path, conf)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {key} must be ")
 
 
 def test_zero_width_logistic_features_are_a_one_line_config_error(tmp_path):
