@@ -52,7 +52,10 @@ class Compressor:
         raise NotImplementedError
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Compress each vector X[..., :] with its entry of draws; X broadcasts against draws."""
+        """Compress each vector X[..., :] with its entry of draws; X broadcasts against draws.
+
+        Returns a new array, which the caller may change in place.
+        """
         raise NotImplementedError
 
     def keep_scale(self, d: int) -> tuple[float, float]:

@@ -290,15 +290,8 @@ def manifest_text(loaded: LoadedConfig, resolved: ResolvedExperiment, version: s
 
 def stats_csv_text(stats) -> str:
     """Render TrajectoryStats as a deterministic CSV (17 significant digits)."""
+    row = ",".join(["%d"] + [FLOAT_FMT] * 5)
+    columns = (stats.ks, stats.mean_dist_sq, stats.mean_sigma_sq, stats.mean_V, stats.std_V, stats.bound_V)
     lines = ["k,mean_dist_sq,mean_sigma_sq,mean_V,std_V,bound_V"]
-    for i, k in enumerate(stats.ks):
-        row = [
-            str(int(k)),
-            _fmt(stats.mean_dist_sq[i]),
-            _fmt(stats.mean_sigma_sq[i]),
-            _fmt(stats.mean_V[i]),
-            _fmt(stats.std_V[i]),
-            _fmt(stats.bound_V[i]),
-        ]
-        lines.append(",".join(row))
+    lines += [row % values for values in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"

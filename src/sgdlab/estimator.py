@@ -17,7 +17,9 @@ the batched state in place.  Row r of the result depends only on row r of the
 inputs.  X may also be one row (1, d) shared by all R rows of the state and
 draws, as for the replicas of one verifier point: the result is then, bit for
 bit, the one for X tiled R times, and G may keep one row where it depends on
-neither (gd).  Draw order per kind (m entries each, in this order):
+neither (gd).  G belongs to the caller: it shares no memory with X, the
+state, the draws, the problem or the constants, so the caller may scale it
+in place.  Draw order per kind (m entries each, in this order):
 
     gd                  nothing
     sgd, sgd_star       rng.integers(n, size=m)
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .compressor import Compressor, Identity, UnsupportedSizeError
-from .problem import FiniteSumProblem, ProblemConstants
+from .problem import FiniteSumProblem, ProblemConstants, einsum
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float | np
     shifts is one table (n, d) or a batch of them (R, n, d).
     """
     diff = shifts - constants.grads_at_star
-    return np.einsum("...ij,...ij->...", diff, diff) / diff.shape[-2]
+    return einsum("...ij,...ij->...", diff, diff) / diff.shape[-2]
 
 
 class Estimator:
@@ -153,7 +155,7 @@ class Estimator:
         """Estimates G (R, d) at the rows of X (R, d) or (1, d); advances the batched state in place.
 
         draws holds one entry per row along the leading axis of each array; a
-        one-row X is shared by all rows.
+        one-row X is shared by all rows.  G is a new array that the caller owns.
         """
         raise NotImplementedError
 
@@ -254,7 +256,9 @@ class SGDStar(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         (i,) = draws
-        return problem.grad_i(i, X) - constants.grads_at_star[i]
+        G = problem.grad_i(i, X)
+        G -= constants.grads_at_star.take(i, axis=0)
+        return G
 
     def certificate(self, problem, constants):
         return Certificate(A=constants.L_max)
@@ -284,26 +288,24 @@ class LSVRG(Estimator):
             raise ValueError(f"refresh probability p must be in (0, 1], got {self.p}")
 
     def init_state(self, problem, constants, x0):
-        return EstimatorState(*self._anchor(problem, constants, x0))
-
-    @staticmethod
-    def _anchor(problem, constants, w):
-        # (sigma_sq, shifts, shift_mean) of the shift table anchored at w (one point or a batch)
-        shifts = problem.component_grads(w)
-        return shift_quality(shifts, constants), shifts, problem.full_grads(w)
+        shifts = problem.component_grads(x0)
+        return EstimatorState(shift_quality(shifts, constants), shifts, problem.full_grads(x0))
 
     def draw(self, problem, rng, m):
         return rng.integers(problem.n, size=m), rng.random(m)
 
     def step(self, problem, constants, X, state, draws):
         i, coin = draws
-        G = problem.grad_i(i, X) - state.shifts[np.arange(len(i)), i] + state.shift_mean
-        hit = np.flatnonzero(coin < self.p)
+        G = problem.grad_i(i, X)
+        G -= state.shifts[np.arange(len(i)), i]
+        G += state.shift_mean
+        hit = (coin < self.p).nonzero()[0]
         if hit.size:
-            # a one-row X is shared by every row, so its one anchor fills every hit row
-            state.sigma_sq[hit], state.shifts[hit], state.shift_mean[hit] = self._anchor(
-                problem, constants, X if len(X) == 1 else X[hit]
-            )
+            # re-anchor the hit rows at their iterates; a one-row X is shared by every row
+            W = X if len(X) == 1 else X[hit]
+            shifts = state.shifts[hit] = problem.component_grads(W)
+            state.sigma_sq[hit] = shift_quality(shifts, constants)
+            state.shift_mean[hit] = problem.full_grads(W)
         return G
 
     def certificate(self, problem, constants):
@@ -338,7 +340,9 @@ class CDGD(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         (q,) = draws
-        return np.einsum("rnd->rd", self.compressor.apply(problem.component_grads(X), q)) / problem.n
+        G = einsum("rnd->rd", self.compressor.apply(problem.component_grads(X), q))
+        G /= problem.n
+        return G
 
     def certificate(self, problem, constants):
         omega = self.compressor.omega(problem.d)
@@ -391,8 +395,10 @@ class DIANA(Estimator):
         (q,) = draws
         alpha = self.resolved_alpha(problem.d)
         delta = self.compressor.apply(problem.component_grads(X) - state.shifts, q)
-        G = np.einsum("rnd->rd", state.shifts + delta) / problem.n
-        state.shifts += alpha * delta
+        G = einsum("rnd->rd", state.shifts + delta)
+        G /= problem.n
+        delta *= alpha
+        state.shifts += delta
         state.sigma_sq[:] = shift_quality(state.shifts, constants)
         return G
 

@@ -13,8 +13,9 @@ draws from default_rng([base_seed, 0, r]) in whole chunks of STREAM_CHUNK
 steps (a full chunk even when fewer steps remain, so steps 1..K do not depend
 on K), the initial direction from default_rng([base_seed, 1]), verification
 point j from default_rng([base_seed, 2, j]).  Every batched contraction is an
-np.einsum, whose rows do not depend on the batch size, so results are bitwise
-the same however trials are split into blocks and replicas into chunks.
+einsum (np.einsum's C routine, problem.einsum), whose rows do not depend on
+the batch size, so results are bitwise the same however trials are split
+into blocks and replicas into chunks.
 
 A stepsize grid is resolved once: the certificate, M, x0 and sigma0^2 do
 not depend on gamma, so ResolvedExperiment.at_gamma(gamma) gives the same run
@@ -31,15 +32,27 @@ the stepsize of that row as its gamma attribute.
 
 A trajectory step does only the estimator's arithmetic and buffers its
 squared distances; the finiteness check and the records are settled once
-per chunk of STREAM_CHUNK steps.  The estimators index components they drew
-themselves, so they call the problem's unchecked grad_i, not eval_grad_i.
+per chunk of STREAM_CHUNK steps.  The step takes its draws by iterating the
+chunk and updates in place, G *= gamma; X -= G, which gives the bits of
+X - gamma * G: Estimator.step returns a new array that its caller owns.  The
+estimators index components they drew themselves, so they call the problem's
+unchecked grad_i, not eval_grad_i.
+
 Verifier replicas share their point as one row that is evaluated once, and
-stream through chunks of REPLICA_BYTES per (rows, n, d) array, small enough
-to stay in cache.
+run in chunks of REPLICA_BYTES per (rows, n, d) array, small enough to stay
+in cache.  They never hold all their draws: the assumption check's replicas
+draw in blocks of DRAW_BYTES per (rows, n, d) array, which fix the stream,
+so REPLICA_BYTES changes no bit, and each chunk of the compressor check
+draws for itself.  Where a draw of m + m' replicas equals a draw of m
+followed by one of m' (Bernoulli masks, Gaussian noise, one index array, and
+so rand_k with k = 1), the stream is that of one draw for all replicas.
+Draws that take several arrays in turn (lsvrg, rand_k with k >= 2) follow
+the blocks; of these, verify samples only rand_k above RANDK_ENUM_LIMIT.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -48,7 +61,7 @@ import numpy as np
 
 from .compressor import UnsupportedSizeError
 from .estimator import Certificate, Estimator, EstimatorState, shift_quality
-from .problem import FiniteSumProblem, ProblemConstants, compute_constants
+from .problem import FiniteSumProblem, ProblemConstants, compute_constants, einsum
 from .theory import BoundCurve, bound_curve, default_M, max_stepsize
 
 TRIAL_STREAM = 0
@@ -60,6 +73,7 @@ STREAM_CHUNK = 256  # steps a trial draws at a time
 BLOCK_BYTES = 16 * 2**20  # memory budget of one trial block
 ROW_TEMPS = 6  # (n, d) float arrays one row of a step holds: state, gradients, temporaries
 REPLICA_BYTES = 2**17  # size of one (rows, n, d) float array of a verifier replica chunk
+DRAW_BYTES = 2**20  # replicas a sampled check draws at a time, as (rows, n, d) float bytes; fixes its stream
 
 DEFAULT_SLACK_REL = 0.1
 DEFAULT_SLACK_STAT = 4.0
@@ -115,6 +129,8 @@ class ExperimentConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed}")
         if self.x0_radius < 0:
             raise ValueError(f"x0_radius must be >= 0, got {self.x0_radius}")
         if self.x0_mode not in ("random", "min_curvature"):
@@ -292,7 +308,7 @@ def run_trajectory(
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         state = est.init_state(problem, constants, resolved.x0).tile(rows)
         np.subtract(X, x_star, out=diff)
-        np.einsum("rd,rd->r", diff, diff, out=d2buf[0])
+        einsum("rd,rd->r", diff, diff, out=d2buf[0])
         sigbuf[0] = state.sigma_sq
         settle(0, d2buf[:1], sigbuf[:1])
         for start in range(0, resolved.steps, STREAM_CHUNK):
@@ -301,10 +317,14 @@ def run_trajectory(
             per_trial = [est.draw(problem, rng, STREAM_CHUNK) for rng in rngs]
             chunk = [np.stack(arrays * G, axis=1) for arrays in zip(*per_trial)]
             T = min(STREAM_CHUNK, resolved.steps - start)
-            for t in range(T):
-                X -= gamma * est.step(problem, constants, X, state, [a[t] for a in chunk])
+            # zip(*chunk) gives each step's draws; a kind without draws (gd) steps on ()
+            step_draws = zip(*chunk) if chunk else itertools.repeat(())
+            for t, draws, d2 in zip(range(T), step_draws, d2buf):
+                g = est.step(problem, constants, X, state, draws)
+                g *= gamma  # the step's result is ours to scale
+                X -= g
                 np.subtract(X, x_star, out=diff)
-                np.einsum("rd,rd->r", diff, diff, out=d2buf[t])
+                einsum("rd,rd->r", diff, diff, out=d2)
                 if start + t + 1 in recorded:
                     sigbuf[t] = state.sigma_sq
             settle(start + 1, d2buf[:T], sigbuf[:T])
@@ -418,21 +438,25 @@ class Report:
 def _mc_moments(est, problem, constants, state, x, rng, samples):
     """Monte-Carlo E||g||^2 and E[sigma_next^2] from one step of `samples` replicas.
 
-    Every replica starts from (x, state); their randomness is one draw of
-    `samples` steps from rng, and they run in chunks of REPLICA_BYTES per
-    (rows, n, d) array, all sharing the one row x.
+    Every replica starts from (x, state) and all share the one row x.  The
+    replicas draw from rng in blocks of DRAW_BYTES per (rows, n, d) array,
+    which fix the stream, and each block runs in chunks of REPLICA_BYTES
+    (one row at least), whose size changes no output bit.
     Returns ((mean, standard error), (mean, standard error)) in that order.
     """
-    draws = est.draw(problem, rng, samples)
-    chunk = max(1, REPLICA_BYTES // (8 * problem.n * problem.d))
+    row_bytes = 8 * problem.n * problem.d
+    block, chunk = max(1, DRAW_BYTES // row_bytes), max(1, REPLICA_BYTES // row_bytes)
     sq = np.empty(samples)
     sig = np.empty(samples)
-    for start in range(0, samples, chunk):
-        stop = min(samples, start + chunk)
-        batch = state.tile(stop - start)
-        G = est.step(problem, constants, x[None], batch, [a[start:stop] for a in draws])
-        sq[start:stop] = np.einsum("rd,rd->r", G, G)
-        sig[start:stop] = batch.sigma_sq
+    for first in range(0, samples, block):
+        size = min(block, samples - first)
+        draws = est.draw(problem, rng, size)
+        for lo in range(0, size, chunk):
+            hi = min(size, lo + chunk)
+            batch = state.tile(hi - lo)
+            G = est.step(problem, constants, x[None], batch, [a[lo:hi] for a in draws])
+            sq[first + lo : first + hi] = einsum("rd,rd->r", G, G)
+            sig[first + lo : first + hi] = batch.sigma_sq
     return tuple((float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples))) for v in (sq, sig))
 
 
@@ -589,26 +613,27 @@ def verify_bound(
 def _compression_moments(compressor, x: np.ndarray, rng, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample mean and standard error of (Q(x) - x, ||Q(x) - x||^2) over `samples` compressions of x.
 
-    One draw for all samples from rng, applied to x in chunks of REPLICA_BYTES.  Each
-    chunk adds to the sums of the values and of their squares.  Entry d is the squared error;
-    its sums are taken about the first chunk's mean, so that they do not cancel.
+    x is compressed in chunks of REPLICA_BYTES, each with its own draw from
+    rng.  Each chunk adds to the sums of the values and of their squares, so
+    the sums depend on the chunk size anyway.  Entry d is the squared error;
+    its sums are taken about the first chunk's mean, so that they do not
+    cancel.
     """
     d = x.size
-    draws = compressor.draw(rng, (samples,), d)
     chunk = max(1, REPLICA_BYTES // (8 * d))
     total, total_sq, centre = np.zeros(d + 1), np.zeros(d + 1), None
     for start in range(0, samples, chunk):
-        E = compressor.apply(x, draws[start : start + chunk])
+        E = compressor.apply(x, compressor.draw(rng, (min(chunk, samples - start),), d))
         E -= x
         E2 = E * E
-        err = np.einsum("rd->r", E2)
+        err = einsum("rd->r", E2)
         if centre is None:
             centre = err.mean()
         err -= centre
-        total[:d] += np.einsum("rd->d", E)
-        total_sq[:d] += np.einsum("rd->d", E2)
+        total[:d] += einsum("rd->d", E)
+        total_sq[:d] += einsum("rd->d", E2)
         total[d] += err.sum()
-        total_sq[d] += np.einsum("r,r->", err, err)
+        total_sq[d] += einsum("r,r->", err, err)
     mean = total / samples
     var = (total_sq - samples * mean**2) / (samples - 1)
     mean[d] += centre

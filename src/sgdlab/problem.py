@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:  # np.einsum runs this C routine; calling it directly skips about 1 us of dispatch per call
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:  # numpy < 2: the same computation through np.einsum
+    einsum = np.einsum
+
 SYMMETRY_ATOL = 1e-12
 OPT_GRAD_RTOL = 1e-10
 LOGISTIC_OPT_TOL = 1e-12
@@ -59,7 +64,9 @@ class FiniteSumProblem:
 
     def full_grads(self, X: np.ndarray) -> np.ndarray:
         """Full gradient at every row of X (..., d), fixed reduction order."""
-        return np.einsum("...nd->...d", self.component_grads(X)) / self.n
+        g = einsum("...nd->...d", self.component_grads(X))
+        g /= self.n
+        return g
 
     def component_grads(self, x: np.ndarray) -> np.ndarray:
         """All component gradients: (n, d) at one point, (..., n, d) at a batch (..., d)."""
@@ -74,8 +81,9 @@ class FiniteSumProblem:
         i is an index, index array or slice into the n components and x has
         last axis d; the caller guarantees both, as the estimators do for the
         indices they draw themselves.  Outside input goes through eval_grad_i.
-        Batched contractions use np.einsum: its rows do not depend on how many
-        rows share the call, which keeps trajectories independent of batching.
+        Batched contractions use einsum (np.einsum's C routine): its rows do
+        not depend on how many rows share the call, which keeps trajectories
+        independent of batching.  The result is a new array.
         """
         raise NotImplementedError
 
@@ -115,14 +123,22 @@ class QuadraticSum(FiniteSumProblem):
         return float(0.5 * x @ (self.A[i] @ x) - self.b[i] @ x)
 
     def grad_i(self, i, x: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.A[i], x) - self.b[i]
+        if isinstance(i, slice):
+            A, b = self.A[i], self.b[i]
+        else:
+            A, b = self.A.take(i, axis=0), self.b.take(i, axis=0)
+        g = einsum("...ij,...j->...i", A, x)
+        g -= b
+        return g
 
     def eval_f(self, x: np.ndarray) -> float:
         self._check_dim(x)
         return float(0.5 * x @ (self._A_mean @ x) - self._b_mean @ x)
 
     def full_grads(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,...j->...i", self._A_mean, X) - self._b_mean
+        g = einsum("ij,...j->...i", self._A_mean, X)
+        g -= self._b_mean
+        return g
 
 
 @dataclass
@@ -152,6 +168,8 @@ class LogisticSum(FiniteSumProblem):
         self.n, self.d = self.features.shape
         if self.n < 1 or self.d < 1:
             raise ProblemError("need n >= 1 and d >= 1")
+        # signed features y_i a_i: labels are +-1, so every sign flip below is exact
+        self._signed = self.labels[:, None] * self.features
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
         return self.labels * (self.features @ x)
@@ -161,9 +179,14 @@ class LogisticSum(FiniteSumProblem):
         return float(np.logaddexp(0.0, -t) + 0.5 * self.ridge * (x @ x))
 
     def grad_i(self, i, x: np.ndarray) -> np.ndarray:
-        a, y = self.features[i], self.labels[i]
-        t = y * np.einsum("...j,...j->...", a, x)
-        return (-y * _sigmoid(-t))[..., None] * a + self.ridge * x
+        # -y s(-t) a with t = y a'x and s(z) = (1 + tanh(z/2)) / 2, from the signed features ya
+        ya = self._signed[i] if isinstance(i, slice) else self._signed.take(i, axis=0)
+        c = np.tanh(-0.5 * einsum("...j,...j->...", ya, x))
+        c += 1.0
+        c *= -0.5
+        g = c[..., None] * ya
+        g += self.ridge * x
+        return g
 
     def eval_f(self, x: np.ndarray) -> float:
         self._check_dim(x)
@@ -282,6 +305,11 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     )
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ProblemError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     # Haar-ish orthogonal matrix: QR of a Gaussian with sign-fixed diagonal
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
@@ -307,6 +335,7 @@ def random_quadratic(
     """
     if n < 1 or d < 1:
         raise ProblemError("need n >= 1 and d >= 1")
+    _check_seed(seed)
     if not 0 < eig_lo <= eig_hi:
         raise ProblemError("need 0 < eig_lo <= eig_hi")
     rng = np.random.default_rng(seed)
@@ -331,6 +360,7 @@ def random_logistic(
     """Seeded random logistic problem with planted labels."""
     if n < 1 or d < 1:
         raise ProblemError("need n >= 1 and d >= 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     feats = feature_scale * rng.standard_normal((n, d))
     planted = rng.standard_normal(d)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sgdlab.compressor import Identity, RandK
+from sgdlab.compressor import BernoulliScale, Identity, RandK
 from sgdlab.estimator import (
     CDGD,
     CERTIFICATE_FORMULAS,
@@ -20,7 +20,7 @@ from sgdlab.estimator import (
     rwgc_certificate,
 )
 from sgdlab.harness import STREAM_CHUNK, ExperimentConfig, run_trajectory, verify_assumption
-from sgdlab.problem import QuadraticSum, compute_constants, random_quadratic
+from sgdlab.problem import QuadraticSum, compute_constants, random_logistic, random_quadratic
 
 PROBLEM = random_quadratic(6, 4, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=21)
 CONSTANTS = compute_constants(PROBLEM)
@@ -279,6 +279,43 @@ def test_diana_rand_k_stream_layout():
         np.testing.assert_array_equal(after.shifts, before.shifts + alpha * delta)
 
     _replay_layout_v2(est, chunk, check_step)
+
+
+# ------------------------------------------------- the step's result is the caller's
+
+OWNED_KINDS = ALL_KINDS + [CDGD(compressor=BernoulliScale(q=0.5)), DIANA(compressor=BernoulliScale(q=0.5))]
+OWNED_IDS = [e.name + (f"-{e.compressor.name}" if hasattr(e, "compressor") else "") for e in OWNED_KINDS]
+LOGISTIC = random_logistic(6, 4, ridge=0.3, seed=22)
+FAMILY_PROBLEMS = {"quadratic": (PROBLEM, CONSTANTS), "logistic": (LOGISTIC, compute_constants(LOGISTIC))}
+
+
+def _arrays(obj) -> dict:
+    """Copies of every array an object holds: its fields, a state's sigma_sq, a draw tuple's entries."""
+    items = enumerate(obj) if isinstance(obj, tuple) else vars(obj).items()
+    return {name: np.copy(v) for name, v in items if isinstance(v, (np.ndarray, float))}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PROBLEMS))
+@pytest.mark.parametrize("est", OWNED_KINDS, ids=OWNED_IDS)
+@pytest.mark.parametrize("rows", [1, 7], ids=["shared-row", "tiled"])
+def test_step_result_belongs_to_the_caller(est, family, rows):
+    """Scaling G in place, as the trajectory kernel does, changes nothing the step read or wrote."""
+    problem, constants = FAMILY_PROBLEMS[family]
+    rng = np.random.default_rng(23)
+    R = 7
+    X = constants.x_star + rng.standard_normal((rows, problem.d))
+    state = est.init_state(problem, constants, rng.standard_normal(problem.d)).tile(R)
+    draws = est.draw(problem, rng, R)
+    G = est.step(problem, constants, X, state, draws)
+    read = {"X": (X,), "state": state, "draws": tuple(draws), "problem": problem, "constants": constants}
+    held = {name: _arrays(obj) for name, obj in read.items()}
+    assert held["problem"] and held["constants"] and (held["draws"] or est.name == "gd")
+    G *= 2.0
+    for name, obj in read.items():
+        after = _arrays(obj)
+        assert after.keys() == held[name].keys()
+        for key, value in after.items():
+            np.testing.assert_array_equal(value, held[name][key], err_msg=f"{name}.{key}")
 
 
 # --------------------------------------------------- unbiasedness (exact + MC)

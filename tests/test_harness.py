@@ -9,6 +9,7 @@ import pytest
 
 from sgdlab.compressor import BernoulliScale, RandK
 from sgdlab.estimator import CDGD, DIANA, LSVRG, RCD, FullGradient, NoisyGradient, SGDStar, UniformSGD
+from sgdlab import harness
 from sgdlab.harness import (
     STREAM_CHUNK,
     TRIAL_STREAM,
@@ -229,14 +230,21 @@ def test_sampled_compressor_check_catches_halved_omega():
 
 @pytest.mark.parametrize("comp,d", [(BernoulliScale(q=0.5), 17), (RandK(k=5), 30)], ids=["bernoulli", "randk"])
 def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
-    """Chunked compressions with merged moments give the margins of all 10^5 compressions at once."""
+    """Chunked compressions with merged moments give the margins of all 10^5 compressions at once.
+
+    Each chunk of REPLICA_BYTES takes its own draw; for rand_k with k >= 2
+    that is another stream than one draw of all 10^5.
+    """
     samples, omega = 10**5, comp.omega(d)
+    chunk = harness.REPLICA_BYTES // (8 * d)
     report = verify_compressor(comp, d, seed=5)
     rng = np.random.default_rng([5, VERIFY_STREAM, 2**33])
     probes = [rng.standard_normal(d) for _ in range(4)] + [np.ones(d)]
     for idx, x in enumerate(probes):
         norm_sq = float(x @ x)
-        draws = comp.apply(np.tile(x, (samples, 1)), comp.draw(rng, (samples,), d))
+        sizes = [min(chunk, samples - s) for s in range(0, samples, chunk)]
+        keep = np.concatenate([comp.draw(rng, (size,), d) for size in sizes])
+        draws = comp.apply(np.tile(x, (samples, 1)), keep)
         se_mean = draws.std(axis=0, ddof=1) / math.sqrt(samples)
         err = np.sum((draws - x) ** 2, axis=1)
         se_err = float(err.std(ddof=1)) / math.sqrt(samples)
@@ -281,6 +289,37 @@ def test_sampled_assumption_check_streams_through_a_small_working_set():
     report, peak = _traced_peak_bytes(lambda: verify_assumption(prob, cons, est, num_points=2, seed=47))
     assert report.passed and not any(c.exact for c in report.checks)
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_sampled_checks_draw_one_block_at_a_time():
+    """At n = 50, d = 100 all 10^4 DIANA replicas' keep masks take 50 MB, 10^5 compressions' 10 MB."""
+    prob = random_quadratic(50, 100, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=48)
+    cons = compute_constants(prob)
+    comp = BernoulliScale(q=0.25)
+    est = DIANA(compressor=comp)
+    report, peak = _traced_peak_bytes(lambda: verify_assumption(prob, cons, est, num_points=1, seed=49))
+    assert report.passed and not any(c.exact for c in report.checks)
+    assert peak < 8 * 2**20, f"verify_assumption peak {peak / 2**20:.1f} MiB"
+    report, peak = _traced_peak_bytes(lambda: verify_compressor(comp, 100, seed=49))
+    assert report.passed and not any(c.exact for c in report.checks)
+    assert peak < 2 * 2**20, f"verify_compressor peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "est", [DIANA(compressor=BernoulliScale(q=0.4)), CDGD(compressor=RandK(k=1)), NoisyGradient(sigma=0.3)],
+    ids=["diana-bernoulli", "cdgd-rand_k-1", "noisy_gd"],
+)
+def test_sampled_stream_of_one_draw_array_does_not_depend_on_the_draw_block(est, monkeypatch):
+    """Bernoulli masks, rand_k with k = 1 and Gaussian noise draw the same in blocks as in one call."""
+    x = HET_CONST.x_star + 0.5
+    state = est.init_state(HET, HET_CONST, x)
+    row_bytes, samples = 8 * HET.n * HET.d, 3000
+
+    def moments(rows_per_block):
+        monkeypatch.setattr(harness, "DRAW_BYTES", rows_per_block * row_bytes)
+        return _mc_moments(est, HET, HET_CONST, state, x, np.random.default_rng(50), samples)
+
+    assert moments(7) == moments(samples)
 
 
 def test_variance_reduction_signature():
@@ -457,6 +496,12 @@ def test_config_validation_errors():
         ExperimentConfig(problem=HET, estimator=FullGradient(), x0_mode="nope").validate()
     with pytest.raises(ValueError, match="gamma"):
         ExperimentConfig(problem=HET, estimator=FullGradient(), gamma="fast").validate()
+
+
+def test_negative_base_seed_is_rejected_by_name():
+    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), base_seed=-1)
+    with pytest.raises(ValueError, match="base_seed must be a non-negative integer, got -1"):
+        cfg.resolve()
 
 
 def test_logistic_problem_end_to_end():

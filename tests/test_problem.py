@@ -230,6 +230,12 @@ def test_generator_is_seeded_and_prescribes_spectrum():
         )
 
 
+@pytest.mark.parametrize("generate", [random_quadratic, random_logistic], ids=["quadratic", "logistic"])
+def test_generators_reject_a_negative_seed_by_name(generate):
+    with pytest.raises(ProblemError, match="seed must be a non-negative integer, got -1"):
+        generate(3, 2, seed=-1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     shape=st.sampled_from([(10, 50), (5, 20), (3, 8), (40, 4), (60, 3), (25, 1)]),
