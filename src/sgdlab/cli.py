@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success / all checks PASS, 1 = a verification check FAILed
 or a trajectory diverged (non-finite iterate), 2 = usage or configuration
-error, or an output path that cannot be written.  Errors are reported as one
-`error: ...` line on stderr.
+error, a derived constant that overflows float64, or an output path that
+cannot be written.  Errors are reported as one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -197,6 +197,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # float ** raises where * gives inf: a config too large for float64
+        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
         return 2
 
 

@@ -29,12 +29,12 @@ in place.  Draw order per kind (m entries each, in this order):
     cdgd, diana         the compressor's draw for shape (m, n)
 
 exact_moments(problem, constants, state, x) is the exact oracle: it returns
-(E[g], E||g||^2, E[sigma_{k+1}^2]) at one state by enumerating the finite
-outcome space, with None for an entry that is not enumerated or, for
-sigma_next, where the kind has no sigma.  Compressed kinds sum their
-compressor's per-coordinate moments, so they are exact for every d, but they
-give None above the compressor's enumeration limits, where the assumption
-verifier samples instead.  The oracle never calls draw or step.
+(E[g], E||g||^2, E[sigma_{k+1}^2]) at one state in closed form or by
+enumerating the finite outcome space, with None for sigma_next where the kind
+has no sigma.  Compressed kinds sum their compressor's per-coordinate moments,
+so they are exact for every d; the compressor's UnsupportedSizeError (Bernoulli
+above BERNOULLI_ENUM_LIMIT) passes through, and the assumption verifier then
+samples instead.  The oracle never calls draw or step.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .compressor import Compressor, Identity, UnsupportedSizeError
+from .compressor import Compressor, Identity
 from .problem import FiniteSumProblem, ProblemConstants, einsum
 
 
@@ -115,6 +115,11 @@ class EstimatorState:
         rep = lambda a: None if a is None else np.repeat(a[None], R, axis=0)
         return EstimatorState(np.full(R, float(self.sigma_sq)), rep(self.shifts), rep(self.shift_mean))
 
+    def with_shifts(self, shifts: np.ndarray, constants: ProblemConstants) -> "EstimatorState":
+        """One state with the shift table shifts (n, d); sigma_sq and any shift_mean follow from it."""
+        mean = None if self.shift_mean is None else shifts.mean(axis=0)
+        return EstimatorState(shift_quality(shifts, constants), shifts, mean)
+
     def row(self, r: int) -> "EstimatorState":
         """A copy of state r of this batch."""
         cp = lambda a: None if a is None else a[r].copy()
@@ -163,8 +168,8 @@ class Estimator:
         raise NotImplementedError
 
     def exact_moments(self, problem, constants, state, x) -> tuple:
-        """Exact (E[g], E||g||^2, E[sigma_next^2]) at one state and x; None where not enumerated."""
-        return None, None, None
+        """Exact (E[g], E||g||^2, E[sigma_next^2]) at one state and x; sigma_next is None without sigma."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         return self.name
@@ -239,7 +244,8 @@ class NoisyGradient(Estimator):
         return Certificate(A=constants.L, D1=problem.d * self.sigma**2)
 
     def exact_moments(self, problem, constants, state, x):
-        return problem.eval_full_grad(x), None, None
+        g = problem.eval_full_grad(x)
+        return g, float(g @ g + problem.d * self.sigma**2), None
 
     def describe(self) -> str:
         return f"gradient descent with Gaussian noise (sigma = {self.sigma:g})"
@@ -353,10 +359,7 @@ class CDGD(Estimator):
 
     def exact_moments(self, problem, constants, state, x):
         grads = problem.component_grads(x)
-        try:
-            means, mses = self.compressor.exact_moments(grads)
-        except UnsupportedSizeError:
-            return None, None, None
+        means, mses = self.compressor.exact_moments(grads)
         # independent workers: E||g||^2 = ||grad f(x)||^2 + (1/n^2) sum_i mse_i
         full = grads.sum(axis=0) / problem.n
         return means.sum(axis=0) / problem.n, float(full @ full + mses.sum() / problem.n**2), None
@@ -417,10 +420,7 @@ class DIANA(Estimator):
         alpha = self.resolved_alpha(problem.d)
         grads = problem.component_grads(x)
         u = grads - state.shifts
-        try:
-            means, mses = self.compressor.exact_moments(u)
-        except UnsupportedSizeError:
-            return None, None, None
+        means, mses = self.compressor.exact_moments(u)
         full = grads.sum(axis=0) / problem.n
         e = state.shifts - constants.grads_at_star
         # E||e_i + alpha Delta_i||^2 with E[Delta_i] = u_i, E||Delta_i||^2 = ||u_i||^2 + mse_i

@@ -47,7 +47,8 @@ draws for itself.  Where a draw of m + m' replicas equals a draw of m
 followed by one of m' (Bernoulli masks, Gaussian noise, one index array, and
 so rand_k with k = 1), the stream is that of one draw for all replicas.
 Draws that take several arrays in turn (lsvrg, rand_k with k >= 2) follow
-the blocks; of these, verify samples only rand_k above RANDK_ENUM_LIMIT.
+the blocks.  verify samples only Bernoulli compression above
+BERNOULLI_ENUM_LIMIT, where the oracle raises UnsupportedSizeError.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .compressor import UnsupportedSizeError
-from .estimator import Certificate, Estimator, EstimatorState, shift_quality
+from .estimator import Certificate, Estimator, EstimatorState
 from .problem import FiniteSumProblem, ProblemConstants, compute_constants, einsum
 from .theory import BoundCurve, bound_curve, default_M, max_stepsize
 
@@ -214,10 +215,11 @@ class ResolvedExperiment:
 
 def _bound(cert: Certificate, constants: ProblemConstants, M: float, x0, sigma0_sq, gamma: float) -> BoundCurve:
     """Bound curve at gamma from V0 = ||x0 - x*||^2 + M gamma^2 sigma0^2 (inf for an overflowing start)."""
+    curve = bound_curve(cert, constants.mu, gamma, M, 0.0)  # checks gamma before gamma**2 can overflow
     with np.errstate(over="ignore", invalid="ignore"):
         diff0 = x0 - constants.x_star
         V0 = float(diff0 @ diff0) + M * gamma**2 * sigma0_sq
-    return bound_curve(cert, constants.mu, gamma, M, V0)
+    return replace(curve, V0=V0)
 
 
 @dataclass
@@ -467,23 +469,20 @@ def _perturbed_state(constants: ProblemConstants, base: EstimatorState, rng) -> 
     mode 2 scales the base table's offsets by c in [-2, 2].  The mode is drawn
     even when there is no table, which fixes where the Monte-Carlo draws of
     stateless estimators start in the point's stream.  Any table is a valid
-    state: sigma_sq and shift_mean are recomputed from it.
+    state: EstimatorState.with_shifts derives the rest of the state from it.
     """
-    state = base.copy()
     mode = int(rng.integers(3))
-    if state.shifts is None:
-        return state
+    if base.shifts is None:
+        return base.copy()
     star = constants.grads_at_star
     if mode == 1:
         radius = 10.0 ** rng.uniform(-3, 1) * max(1.0, math.sqrt(constants.sigma_star_sq))
-        state.shifts = star + radius * rng.standard_normal(star.shape)
+        shifts = star + radius * rng.standard_normal(star.shape)
     elif mode == 2:
-        c = rng.uniform(-2.0, 2.0)
-        state.shifts = star + c * (base.shifts - star)
-    state.sigma_sq = shift_quality(state.shifts, constants)
-    if state.shift_mean is not None:
-        state.shift_mean = state.shifts.mean(axis=0)
-    return state
+        shifts = star + rng.uniform(-2.0, 2.0) * (base.shifts - star)
+    else:
+        shifts = base.shifts.copy()
+    return base.with_shifts(shifts, constants)
 
 
 def verify_assumption(
@@ -501,10 +500,10 @@ def verify_assumption(
     perturbations: iterates at log-spread radii around x*, points along the
     warm-up line (including reflections), and shift tables perturbed around
     the optimal shifts.  The left-hand sides come from the estimator's exact
-    oracle (exact_moments); where it gives None, as for noisy_gd and for
-    compressors above their enumeration limits, they come from
-    samples_per_point Monte-Carlo draws that both inequalities share.  Exact
-    margins must be >= -1e-10 * RHS, sampled margins >= -4 standard errors.
+    oracle (exact_moments); where it raises UnsupportedSizeError (Bernoulli
+    compression above BERNOULLI_ENUM_LIMIT), they come from samples_per_point
+    Monte-Carlo draws that both inequalities share.  Exact margins must be
+    >= -1e-10 * RHS, sampled margins >= -4 standard errors.
 
     Passing a certificate overrides the estimator's own; this is how mutation
     tests inject corrupted constants.
@@ -546,21 +545,18 @@ def verify_assumption(
         sp = _perturbed_state(constants, sw, rng)
 
         gap = problem.eval_f(xp) - constants.f_star
-        _, second, sigma_next = estimator.exact_moments(problem, constants, sp, xp)
-        # (check name, right-hand side, exact left-hand side or None)
-        sides = [("second_moment", 2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1, second)]
+        sides = [("second_moment", 2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1)]
         if cert.has_sigma:
-            rhs = (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2
-            sides.append(("sigma_recursion", rhs, sigma_next))
-        if any(lhs is None for _, _, lhs in sides):
-            moments = _mc_moments(estimator, problem, constants, sp, xp, rng, samples_per_point)
-        for k, (name, rhs, lhs) in enumerate(sides):
-            if lhs is not None:
-                check = Check(f"{name}[{j}]", rhs - lhs, EXACT_MARGIN_RTOL * abs(rhs), exact=True)
-            else:
-                mean, se = moments[k]
-                check = Check(f"{name}[{j}]", rhs - mean, 4.0 * se, exact=False)
-            report.checks.append(check)
+            sides.append(("sigma_recursion", (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2))
+        # left-hand sides as (value, standard error); the oracle draws nothing from rng
+        try:
+            _, second, sigma_next = estimator.exact_moments(problem, constants, sp, xp)
+            lhs, exact = [(second, 0.0), (sigma_next, 0.0)], True
+        except UnsupportedSizeError:
+            lhs, exact = _mc_moments(estimator, problem, constants, sp, xp, rng, samples_per_point), False
+        for (name, rhs), (value, se) in zip(sides, lhs):
+            tol = EXACT_MARGIN_RTOL * abs(rhs) if exact else 4.0 * se
+            report.checks.append(Check(f"{name}[{j}]", rhs - value, tol, exact=exact))
     return report
 
 
@@ -644,9 +640,9 @@ def verify_compressor(compressor, d: int, seed: int = 0) -> Report:
     """Check unbiasedness and the omega variance certificate on COMPRESSOR_PROBES probe vectors.
 
     Exact from the compressor's per-coordinate moments (exact_moments) up to
-    a relative 1e-12.  Above the enumeration limits (over 10^4 rand_k subsets,
-    d > 16 for Bernoulli), which are only the policy for where this check
-    samples, each probe is compressed 10^5 times with a 4-standard-error
+    a relative 1e-12.  Where exact_moments raises UnsupportedSizeError
+    (Bernoulli above BERNOULLI_ENUM_LIMIT, only the policy for where this check
+    samples), each probe is compressed 10^5 times with a 4-standard-error
     slack; the sampled variance check also allows the exact check's round-off.
     """
     rng = np.random.default_rng([seed, VERIFY_STREAM, 2**33])

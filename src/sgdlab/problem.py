@@ -259,7 +259,7 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     Newton's method.
 
     Raises ProblemError when mu is not strictly positive or x* fails the
-    certificate ||grad f(x*)|| <= OPT_GRAD_RTOL max(1, ||x*||).
+    certificate ||grad f(x*)|| <= OPT_GRAD_RTOL max(1, ||x*||) < inf.
     """
     if isinstance(problem, QuadraticSum):
         L_i = np.array([np.linalg.eigvalsh(problem.A[k])[-1] for k in range(problem.n)])
@@ -289,8 +289,10 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     L_max = float(np.max(L_i))
     grads_at_star = problem.component_grads(x_star)
     grad_norm = float(np.linalg.norm(grads_at_star.sum(axis=0) / problem.n))
-    if not grad_norm <= OPT_GRAD_RTOL * max(1.0, float(np.linalg.norm(x_star))):
-        raise ProblemError(f"optimum certificate failed: ||grad f(x*)|| = {grad_norm:g}")
+    with np.errstate(over="ignore"):  # an x* whose norm overflows float64 cannot be certified
+        norm_star = float(np.linalg.norm(x_star))
+    if not grad_norm <= OPT_GRAD_RTOL * max(1.0, norm_star) < math.inf:
+        raise ProblemError(f"optimum certificate failed: ||grad f(x*)|| = {grad_norm:g}, ||x*|| = {norm_star:g}")
     sigma_star_sq = float(np.mean(np.sum(grads_at_star**2, axis=1)))
     return ProblemConstants(
         L=L,

@@ -276,8 +276,10 @@ def test_criterion_08_assumption_verifier_and_mutation():
             extra_problem, cons, est, num_points=100, samples_per_point=3000,
             seed=808, certificate=halved,
         )
-        n_neg = sum(1 for c in mutated.checks if not c.passed)
-        assert n_neg >= 1, f"halving A went undetected for {est.name}"
+        failed = [c for c in mutated.checks if not c.passed]
+        assert failed, f"halving A went undetected for {est.name}"
+        # every suite kind has an exact oracle at these sizes, noisy_gd included
+        assert all(c.exact for c in failed), f"{est.name} failed sampled checks"
     _announce(8, "assumption verifier passes honest certificates, catches halved A", t0)
 
 

@@ -590,3 +590,62 @@ q = 0.5
     cfg = write(tmp_path, conf)
     assert cli.main(["verify", "--config", cfg, "--points", "2", "--quiet"]) == 0
     assert "PASS bound_domination" in capsys.readouterr().out
+
+
+OVERFLOW_BASE = """
+[problem]
+family = quadratic
+n = 4
+d = 3
+seed = 1
+
+[estimator]
+kind = sgd
+
+[run]
+steps = 20
+trials = 2
+seed = 1
+"""
+
+
+def _assert_one_line_error(proc, text):
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ") and text in proc.stderr
+
+
+def test_sweep_rejects_a_gamma_whose_square_overflows(tmp_path):
+    # float ** raises OverflowError at 1e300**2: the stepsize check must come first
+    cfg = write(tmp_path, OVERFLOW_BASE)
+    proc = _run_cli_process("sweep", "--config", cfg, "--out", str(tmp_path), "--quiet", "--gammas", "0.01,1e300")
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert rows[1].endswith(",ok") and "rejected: stepsize 1e+300 exceeds the admissible maximum" in rows[2]
+
+
+def test_run_rejects_a_gamma_whose_square_overflows(tmp_path):
+    cfg = write(tmp_path, OVERFLOW_BASE.replace("steps = 20", "steps = 20\ngamma = 1e300"))
+    proc = _run_cli_process("run", "--config", cfg, "--out", str(tmp_path), "--quiet")
+    _assert_one_line_error(proc, "stepsize 1e+300 exceeds the admissible maximum")
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["verify"], ["sweep", "--gammas", "0.01"]], ids=["run", "verify", "sweep"]
+)
+def test_a_noise_level_whose_square_overflows_is_a_one_line_error(tmp_path, command):
+    cfg = write(tmp_path, OVERFLOW_BASE.replace("kind = sgd", "kind = noisy_gd\nsigma = 1e200"))
+    proc = _run_cli_process(command[0], "--config", cfg, "--out", str(tmp_path), "--quiet", *command[1:])
+    _assert_one_line_error(proc, "floating-point overflow")
+
+
+@pytest.mark.parametrize(
+    "shift, text",
+    [("", "optimum certificate failed"), ("shift_scale = 0.0\n", "floating-point overflow")],
+    ids=["heterogeneous", "shared-minimizer"],
+)
+def test_a_curvature_whose_inverse_squared_overflows_is_a_one_line_error(tmp_path, shift, text):
+    """mu = L = 1e-200: gd's gamma = 1/L squares to inf; with offsets, ||x*|| overflows first."""
+    problem = f"seed = 1\neig_lo = 1e-200\neig_hi = 1e-200\n{shift}\n[estimator]\nkind = gd"
+    conf = OVERFLOW_BASE.replace("seed = 1\n\n[estimator]\nkind = sgd", problem)
+    proc = _run_cli_process("run", "--config", write(tmp_path, conf), "--out", str(tmp_path), "--quiet")
+    _assert_one_line_error(proc, text)

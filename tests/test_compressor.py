@@ -201,8 +201,7 @@ def test_configuration_errors():
 
 
 def test_enumeration_size_limits():
-    with pytest.raises(UnsupportedSizeError):
-        RandK(k=10).exact_moments(np.zeros(50))
+    """Bernoulli's limit is the one policy limit left, where the verifier samples."""
     with pytest.raises(UnsupportedSizeError):
         BernoulliScale(q=0.5).exact_moments(np.zeros(17))
 

@@ -179,9 +179,14 @@ def _warm_states(est, steps=12, seed=40):
 SHIFTED = [LSVRG(p=0.3), DIANA(compressor=RandK(k=1))]
 
 
-@pytest.mark.parametrize("est", SHIFTED, ids=["lsvrg", "diana"])
+@pytest.mark.parametrize(
+    "est",
+    SHIFTED + [NoisyGradient(sigma=0.3), CDGD(compressor=RandK(k=2))],
+    ids=["lsvrg", "diana", "noisy_gd", "cdgd-rand_k-2"],
+)
 def test_sampled_moments_agree_with_exact_oracles(est):
     samples = 4000
+    has_sigma = est.certificate(HET, HET_CONST).has_sigma
     for j, base in enumerate(_warm_states(est)[::2]):
         rng = np.random.default_rng([42, j])
         state = _perturbed_state(HET_CONST, base, rng)
@@ -189,7 +194,58 @@ def test_sampled_moments_agree_with_exact_oracles(est):
         (m2, se2), (msig, sesig) = _mc_moments(est, HET, HET_CONST, state, x, rng, samples)
         _, exact2, exact_sig = est.exact_moments(HET, HET_CONST, state, x)
         assert abs(m2 - exact2) <= 4.0 * se2, (j, m2, exact2, se2)
-        assert abs(msig - exact_sig) <= 4.0 * sesig, (j, msig, exact_sig, sesig)
+        assert (exact_sig is None) == (not has_sigma)
+        if has_sigma:
+            assert abs(msig - exact_sig) <= 4.0 * sesig, (j, msig, exact_sig, sesig)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@pytest.mark.parametrize(
+    "est",
+    [NoisyGradient(sigma=0.3), CDGD(compressor=RandK(k=2)), DIANA(compressor=RandK(k=2))],
+    ids=["noisy_gd", "cdgd-rand_k-2", "diana-rand_k-2"],
+)
+def test_noisy_gd_and_rand_k_are_verified_exactly(est, family):
+    if family == "quadratic":
+        prob = random_quadratic(8, 6, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=51)
+    else:
+        prob = random_logistic(8, 5, ridge=0.1, seed=51)
+    report = verify_assumption(prob, compute_constants(prob), est, num_points=50, seed=52)
+    assert report.passed, "\n".join(report.lines())
+    assert all(line.endswith("[exact]") for line in report.lines())
+
+
+def test_rand_k_is_exact_above_any_subset_count():
+    """C(30, 5) = 142,506 subsets: both checks take the O(d) closed form, which sampling confirms."""
+    comp, d = RandK(k=5), 30
+    compressor_report = verify_compressor(comp, d, seed=5)
+    prob = random_quadratic(6, d, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=53)
+    est = DIANA(compressor=comp)
+    assumption_report = verify_assumption(prob, compute_constants(prob), est, num_points=10, seed=54)
+    for report in (compressor_report, assumption_report):
+        assert report.passed, "\n".join(report.lines())
+        assert all(line.endswith("[exact]") for line in report.lines())
+    rng = np.random.default_rng(55)
+    for x in (rng.standard_normal(d), np.ones(d)):
+        mean, mse = comp.exact_moments(x)
+        sampled, se = harness._compression_moments(comp, x, rng, 10**5)  # means of Q(x) - x, then of the error
+        assert np.all(np.abs(sampled[:d] - (mean - x)) <= 4.0 * se[:d])
+        # all ones: every error is the same, so se is 0 and only round-off remains
+        assert abs(sampled[d] - mse) <= 4.0 * se[d] + 1e-12 * mse, (sampled[d], mse, se[d])
+
+
+@pytest.mark.parametrize("d,exact", [(16, True), (17, False)])
+def test_verify_samples_bernoulli_above_its_enumeration_limit(d, exact):
+    """The boundary the benchmark's verify_diana workload relies on: exact at d = 12, sampled at d = 20."""
+    comp = BernoulliScale(q=0.25)
+    prob = random_quadratic(4, d, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=56)
+    est, cons = DIANA(compressor=comp), compute_constants(prob)
+    for report in (
+        verify_compressor(comp, d, seed=57),
+        verify_assumption(prob, cons, est, num_points=2, samples_per_point=500, seed=58),
+    ):
+        assert report.passed, "\n".join(report.lines())
+        assert [c.exact for c in report.checks] == [exact] * len(report.checks)
 
 
 def test_sampled_verifier_on_diana_bernoulli():
@@ -228,12 +284,11 @@ def test_sampled_compressor_check_catches_halved_omega():
     assert not any(c.passed for c in variance)
 
 
-@pytest.mark.parametrize("comp,d", [(BernoulliScale(q=0.5), 17), (RandK(k=5), 30)], ids=["bernoulli", "randk"])
+@pytest.mark.parametrize("comp,d", [(BernoulliScale(q=0.5), 17)], ids=["bernoulli"])
 def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
     """Chunked compressions with merged moments give the margins of all 10^5 compressions at once.
 
-    Each chunk of REPLICA_BYTES takes its own draw; for rand_k with k >= 2
-    that is another stream than one draw of all 10^5.
+    Each chunk of REPLICA_BYTES takes its own draw, concatenated here.
     """
     samples, omega = 10**5, comp.omega(d)
     chunk = harness.REPLICA_BYTES // (8 * d)

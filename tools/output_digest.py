@@ -13,7 +13,10 @@ compressor) on a generated quadratic and a generated logistic problem, one
 line `<kind>/<family> trajectory.csv <sha256>` and one `... manifest
 <sha256>` from `sgdlab run`, and one `sweep/<family> sweep.csv <sha256>` per
 family from `sgdlab sweep` over a grid with an inadmissible entry.  The runs
-take 300 steps, more than one draw chunk, and record every step.
+take 300 steps, more than one draw chunk, and record every step.  Last, one
+`verify/<case> stdout <sha256>` line per `sgdlab verify` case: DIANA with a
+Bernoulli compressor (q = 0.25, n = 10) at d = 20, where the assumption and
+compressor checks sample, and at d = 12, where they are exact, and lsvrg.
 
 --compare exits 1 when the two files have the same header but any other line
 differs: an output may change only together with the stream layout version.
@@ -50,6 +53,12 @@ ESTIMATORS = {
 RUN = {"steps": "300", "trials": "5", "seed": "11", "record_every": "1"}
 SWEEP_ESTIMATOR = "lsvrg"
 SWEEP_GAMMAS = "0.05,0.01,0.002,100"  # the last entry is rejected
+DIANA_BERNOULLI = {"kind": "diana", "compressor": "bernoulli", "q": "0.25"}
+VERIFY = {  # case: (problem, estimator, --points)
+    "diana-bernoulli-d20": ({"family": "quadratic", "n": "10", "d": "20", "seed": "3"}, DIANA_BERNOULLI, "2"),
+    "diana-bernoulli-d12": ({"family": "quadratic", "n": "10", "d": "12", "seed": "3"}, DIANA_BERNOULLI, "2"),
+    "lsvrg": (FAMILIES["quadratic"], ESTIMATORS["lsvrg"], "20"),
+}
 HEADER = ("stream_layout", "version")
 
 
@@ -60,12 +69,14 @@ def write_config(path: Path, problem: dict, estimator: dict) -> None:
         config.write(fh)
 
 
-def sgdlab(src: Path, *args: str) -> None:
+def sgdlab(src: Path, *args: str) -> str:
+    """Stdout of one sgdlab command, which must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, "-m", "sgdlab.cli", *args]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"sgdlab {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout
 
 
 def sha256(path: Path) -> str:
@@ -95,6 +106,13 @@ def digests(src: Path) -> list[str]:
             sgdlab(src, "sweep", "--config", str(case / "config.ini"), "--out", str(case), "--quiet",
                    "--gammas", SWEEP_GAMMAS)
             lines.append(f"sweep/{family} sweep.csv {sha256(case / 'sweep.csv')}")
+        for name, (problem, estimator, points) in VERIFY.items():
+            case = work / f"verify-{name}"
+            case.mkdir()
+            write_config(case / "config.ini", problem, estimator)
+            stdout = sgdlab(src, "verify", "--config", str(case / "config.ini"), "--out", str(case),
+                            "--points", points)
+            lines.append(f"verify/{name} stdout {hashlib.sha256(stdout.encode()).hexdigest()}")
     return lines
 
 
