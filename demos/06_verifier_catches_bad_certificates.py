@@ -6,6 +6,8 @@ passes everywhere; halving A flips the margin sign wherever the inequality is
 tight.  This is the mutation test that keeps the verifier honest.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from sgdlab import UniformSGD, QuadraticSum, compute_constants, verify_assumption
@@ -21,7 +23,8 @@ est = UniformSGD()
 honest = verify_assumption(problem, constants, est, num_points=100, seed=808)
 print(honest.summary())
 
-halved = est.certificate(problem, constants).scaled_A(0.5)
+cert = est.certificate(problem, constants)
+halved = replace(cert, A=cert.A * 0.5)
 mutated = verify_assumption(problem, constants, est, num_points=100, seed=808, certificate=halved)
 print(mutated.summary())
 print()

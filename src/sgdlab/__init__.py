@@ -23,7 +23,6 @@ from .estimator import (
     NoisyGradient,
     SGDStar,
     UniformSGD,
-    rwgc_certificate,
 )
 from .harness import (
     ExperimentConfig,
@@ -83,7 +82,6 @@ __all__ = [
     "random_logistic",
     "random_quadratic",
     "recursion_oracle",
-    "rwgc_certificate",
     "run_monte_carlo",
     "run_trajectory",
     "tail_mean",

@@ -40,7 +40,7 @@ samples instead.  The oracle never calls draw or step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,22 +69,6 @@ class Certificate:
             raise ValueError(f"certificate rho must be in (0, 1], got {self.rho}")
         if not self.has_sigma and (self.B != 0 or self.C != 0 or self.D2 != 0):
             raise ValueError("B, C, D2 must be 0 when the sigma sequence is identically zero")
-
-    def scaled_A(self, factor: float) -> "Certificate":
-        """Copy with A scaled; used by mutation tests of the verifier."""
-        return replace(self, A=self.A * factor)
-
-
-def rwgc_certificate(rho_growth: float, L: float, sigma_sq: float) -> Certificate:
-    """Certificate preset for the relaxed weak growth condition.
-
-    A growth bound E||g||^2 = 2 rho_growth L (f - f*) + sigma^2 maps to
-    (A = rho_growth * L, D1 = sigma^2) with no variance-reduction sequence.
-    rho_growth is the growth parameter, distinct from the certificate's rho.
-    For an L-smooth objective the relaxed strong growth condition implies this
-    one with the same parameters, so it maps to the same certificate.
-    """
-    return Certificate(A=rho_growth * L, D1=sigma_sq)
 
 
 @dataclass

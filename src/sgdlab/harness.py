@@ -36,7 +36,7 @@ per chunk of STREAM_CHUNK steps.  The step takes its draws by iterating the
 chunk and updates in place, G *= gamma; X -= G, which gives the bits of
 X - gamma * G: Estimator.step returns a new array that its caller owns.  The
 estimators index components they drew themselves, so they call the problem's
-unchecked grad_i, not eval_grad_i.
+unchecked grad_i.
 
 Verifier replicas share their point as one row that is evaluated once, and
 run in chunks of REPLICA_BYTES per (rows, n, d) array, small enough to stay
@@ -63,7 +63,7 @@ import numpy as np
 from .compressor import UnsupportedSizeError
 from .estimator import Certificate, Estimator, EstimatorState
 from .problem import FiniteSumProblem, ProblemConstants, compute_constants, einsum
-from .theory import BoundCurve, bound_curve, default_M, max_stepsize
+from .theory import BoundCurve, bound_curve, default_M, lyapunov_value, max_stepsize
 
 TRIAL_STREAM = 0
 INIT_STREAM = 1
@@ -76,8 +76,8 @@ ROW_TEMPS = 6  # (n, d) float arrays one row of a step holds: state, gradients, 
 REPLICA_BYTES = 2**17  # size of one (rows, n, d) float array of a verifier replica chunk
 DRAW_BYTES = 2**20  # replicas a sampled check draws at a time, as (rows, n, d) float bytes; fixes its stream
 
-DEFAULT_SLACK_REL = 0.1
-DEFAULT_SLACK_STAT = 4.0
+BOUND_SLACK_REL = 0.1  # relative slack of verify_bound on the bound
+BOUND_SLACK_STAT = 4.0  # standard errors of the mean V that verify_bound allows
 EXACT_MARGIN_RTOL = 1e-10
 WARMUP_STEPS = 64  # steps of the verifier's warm-up trajectory
 COMPRESSOR_PROBES = 5  # probe vectors of verify_compressor, the last one all ones
@@ -215,10 +215,10 @@ class ResolvedExperiment:
 
 def _bound(cert: Certificate, constants: ProblemConstants, M: float, x0, sigma0_sq, gamma: float) -> BoundCurve:
     """Bound curve at gamma from V0 = ||x0 - x*||^2 + M gamma^2 sigma0^2 (inf for an overflowing start)."""
-    curve = bound_curve(cert, constants.mu, gamma, M, 0.0)  # checks gamma before gamma**2 can overflow
+    curve = bound_curve(cert, constants.mu, gamma, M, 0.0)  # checks gamma before V0 can square it
     with np.errstate(over="ignore", invalid="ignore"):
         diff0 = x0 - constants.x_star
-        V0 = float(diff0 @ diff0) + M * gamma**2 * sigma0_sq
+        V0 = lyapunov_value(float(diff0 @ diff0), sigma0_sq, gamma, M)
     return replace(curve, V0=V0)
 
 
@@ -359,7 +359,7 @@ def run_monte_carlo(
 
     stats = []
     for e, dist_g, sig_g in zip(grid, dist, sig):
-        V = dist_g + e.M * e.gamma**2 * sig_g
+        V = lyapunov_value(dist_g, sig_g, e.gamma, e.M)
         with np.errstate(under="ignore"):
             std_V = V.std(axis=0, ddof=1) if R > 1 else np.zeros(nrec)
             bound_V = np.asarray(e.curve.bound_at(e.record_ks), dtype=float)
@@ -560,12 +560,8 @@ def verify_assumption(
     return report
 
 
-def verify_bound(
-    stats: TrajectoryStats,
-    slack_rel: float = DEFAULT_SLACK_REL,
-    slack_stat: float = DEFAULT_SLACK_STAT,
-) -> Report:
-    """Check mean_V(k) <= (sqrt(bound_V(k)*(1+slack_rel)) + c)^2 + slack_stat*std_V(k)/sqrt(R).
+def verify_bound(stats: TrajectoryStats) -> Report:
+    """Check mean_V(k) <= (sqrt(bound_V(k) (1 + BOUND_SLACK_REL)) + c)^2 + BOUND_SLACK_STAT std_V(k)/sqrt(R).
 
     c = stats.roundoff is the float64 floor of sqrt(V), below which a bound
     cannot be checked.  Stack the iterate and shift table as z, so that V_k =
@@ -579,7 +575,7 @@ def verify_bound(
     """
     report = Report(title="bound_domination")
     se = stats.std_V / math.sqrt(stats.trials)
-    limit = (np.sqrt(stats.bound_V * (1.0 + slack_rel)) + stats.roundoff) ** 2 + slack_stat * se
+    limit = (np.sqrt(stats.bound_V * (1.0 + BOUND_SLACK_REL)) + stats.roundoff) ** 2 + BOUND_SLACK_STAT * se
     margins = limit - stats.mean_V
     worst = int(np.argmin(margins))
     for idx in range(len(stats.ks)):

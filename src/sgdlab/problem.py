@@ -34,28 +34,11 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 
 class FiniteSumProblem:
-    """Base class; concrete families are QuadraticSum and LogisticSum."""
+    """Base class; concrete families are QuadraticSum and LogisticSum, which define eval_f and grad_i."""
 
     n: int
     d: int
     family: str
-
-    def eval_f(self, x: np.ndarray) -> float:
-        """Objective value f(x) = (1/n) sum_i f_i(x)."""
-        self._check_dim(x)
-        return float(np.mean([self._component_value(i, x) for i in range(self.n)]))
-
-    def eval_grad_i(self, i, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of component i at x: grad_i after range and shape checks.
-
-        i may be an index array and x a batch (..., d): row r is then the
-        gradient of component i[r] at x[r].
-        """
-        i = np.asarray(i)
-        if np.any((i < 0) | (i >= self.n)):
-            raise IndexError(f"component index {i} out of range [0, {self.n})")
-        self._check_dim(x)
-        return self.grad_i(i, x)
 
     def eval_full_grad(self, x: np.ndarray) -> np.ndarray:
         """Exact average of all component gradients at one point."""
@@ -72,15 +55,12 @@ class FiniteSumProblem:
         """All component gradients: (n, d) at one point, (..., n, d) at a batch (..., d)."""
         return self.grad_i(slice(None), np.asarray(x)[..., None, :])
 
-    def _component_value(self, i: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
     def grad_i(self, i, x: np.ndarray) -> np.ndarray:
         """Gradients of components i at x, broadcasting their leading axes, unchecked.
 
         i is an index, index array or slice into the n components and x has
         last axis d; the caller guarantees both, as the estimators do for the
-        indices they draw themselves.  Outside input goes through eval_grad_i.
+        indices they draw themselves; no range or shape check runs here.
         Batched contractions use einsum (np.einsum's C routine): its rows do
         not depend on how many rows share the call, which keeps trajectories
         independent of batching.  The result is a new array.
@@ -118,9 +98,6 @@ class QuadraticSum(FiniteSumProblem):
         # cached averages for fast objective and full-gradient evaluation
         self._A_mean = self.A.sum(axis=0) / self.n
         self._b_mean = self.b.sum(axis=0) / self.n
-
-    def _component_value(self, i: int, x: np.ndarray) -> float:
-        return float(0.5 * x @ (self.A[i] @ x) - self.b[i] @ x)
 
     def grad_i(self, i, x: np.ndarray) -> np.ndarray:
         if isinstance(i, slice):
@@ -173,10 +150,6 @@ class LogisticSum(FiniteSumProblem):
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
         return self.labels * (self.features @ x)
-
-    def _component_value(self, i: int, x: np.ndarray) -> float:
-        t = self.labels[i] * (self.features[i] @ x)
-        return float(np.logaddexp(0.0, -t) + 0.5 * self.ridge * (x @ x))
 
     def grad_i(self, i, x: np.ndarray) -> np.ndarray:
         # -y s(-t) a with t = y a'x and s(z) = (1 + tanh(z/2)) / 2, from the signed features ya

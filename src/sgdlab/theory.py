@@ -8,7 +8,10 @@ the expected Lyapunov value V_k = ||x^k - x*||^2 + M gamma^2 sigma_k^2 obeys
     r = min{gamma mu, rho - B/M}.
 
 For certificates without a sigma sequence the min collapses to gamma*mu and
-M plays no role (V_k is just the squared distance).
+M plays no role (V_k is just the squared distance).  lyapunov_value and
+noise_term are the one place V and the per-step noise (D1 + M D2) gamma^2 are
+formed; neither squares gamma where its factor is 0, so an admissible
+stepsize whose square overflows float64 still runs where the weight is inert.
 """
 
 from __future__ import annotations
@@ -54,6 +57,19 @@ def max_stepsize(cert: Certificate, mu: float, M: float) -> float:
     return min(1.0 / mu, 1.0 / denom)
 
 
+def lyapunov_value(dist_sq, sigma_sq, gamma: float, M: float):
+    """V = ||x - x*||^2 + M gamma^2 sigma^2, elementwise; dist_sq itself where M = 0."""
+    if M == 0:
+        return dist_sq
+    return dist_sq + M * gamma**2 * sigma_sq
+
+
+def noise_term(cert: Certificate, gamma: float, M: float) -> float:
+    """Per-step noise (D1 + M D2) gamma^2 of the recursion; 0 where D1 + M D2 = 0."""
+    factor = cert.D1 + M * cert.D2
+    return factor * gamma**2 if factor > 0 else 0.0
+
+
 @dataclass(frozen=True)
 class BoundCurve:
     """Evaluated bound: E[V_k] <= V0 * contraction^k + floor."""
@@ -87,7 +103,7 @@ def bound_curve(cert: Certificate, mu: float, gamma: float, M: float, V0: float)
         rate = min(gamma * mu, cert.rho - cert.B / M)
     else:
         rate = gamma * mu
-    noise = (cert.D1 + M * cert.D2) * gamma**2
+    noise = noise_term(cert, gamma, M)
     floor = noise / rate if noise > 0 else 0.0
     return BoundCurve(gamma=gamma, M=M, contraction=1.0 - rate, floor=floor, V0=V0)
 
@@ -102,7 +118,7 @@ def recursion_oracle(
     is the property tests check.
     """
     curve = bound_curve(cert, mu, gamma, M, V0)
-    step = (cert.D1 + M * cert.D2) * gamma**2
+    step = noise_term(cert, gamma, M)
     out = np.empty(K + 1)
     v = float(V0)
     out[0] = v

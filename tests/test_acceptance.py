@@ -8,6 +8,7 @@ represent, so domination checks are run where they are numerically
 meaningful, and long single runs cover the deep-convergence targets.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -271,7 +272,8 @@ def test_criterion_08_assumption_verifier_and_mutation():
                 c.line() for c in report.checks if not c.passed
             )
         cons = compute_constants(extra_problem)
-        halved = est.certificate(extra_problem, cons).scaled_A(0.5)
+        cert = est.certificate(extra_problem, cons)
+        halved = dataclasses.replace(cert, A=cert.A * 0.5)
         mutated = verify_assumption(
             extra_problem, cons, est, num_points=100, samples_per_point=3000,
             seed=808, certificate=halved,

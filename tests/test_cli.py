@@ -638,14 +638,31 @@ def test_a_noise_level_whose_square_overflows_is_a_one_line_error(tmp_path, comm
     _assert_one_line_error(proc, "floating-point overflow")
 
 
-@pytest.mark.parametrize(
-    "shift, text",
-    [("", "optimum certificate failed"), ("shift_scale = 0.0\n", "floating-point overflow")],
-    ids=["heterogeneous", "shared-minimizer"],
-)
-def test_a_curvature_whose_inverse_squared_overflows_is_a_one_line_error(tmp_path, shift, text):
-    """mu = L = 1e-200: gd's gamma = 1/L squares to inf; with offsets, ||x*|| overflows first."""
+def _tiny_curvature_gd(shift):
+    """OVERFLOW_BASE with mu = L = 1e-200 and kind gd, so gamma = 1/L = 1e200."""
     problem = f"seed = 1\neig_lo = 1e-200\neig_hi = 1e-200\n{shift}\n[estimator]\nkind = gd"
-    conf = OVERFLOW_BASE.replace("seed = 1\n\n[estimator]\nkind = sgd", problem)
+    return OVERFLOW_BASE.replace("seed = 1\n\n[estimator]\nkind = sgd", problem)
+
+
+@pytest.mark.parametrize("shift, text", [("", "optimum certificate failed")], ids=["heterogeneous"])
+def test_a_curvature_whose_inverse_squared_overflows_is_a_one_line_error(tmp_path, shift, text):
+    """With offsets, ||x*|| overflows before the run starts."""
+    conf = _tiny_curvature_gd(shift)
     proc = _run_cli_process("run", "--config", write(tmp_path, conf), "--out", str(tmp_path), "--quiet")
     _assert_one_line_error(proc, text)
+
+
+def test_a_stepsize_whose_square_overflows_runs_where_its_factors_are_zero(tmp_path):
+    """gd at gamma = 1e200 on a shared minimizer: M = D1 = 0, so neither V nor the floor squares gamma."""
+    cfg = write(tmp_path, _tiny_curvature_gd("shift_scale = 0.0\n"))
+    proc = _run_cli_process("run", "--config", cfg, "--out", str(tmp_path), "--quiet")
+    assert proc.returncode == 0 and proc.stderr == ""
+    _, rows = read_csv(tmp_path / "trajectory.csv")
+    assert rows.shape == (21, 6) and np.isfinite(rows).all()
+    # gamma mu is 1 up to round-off, so every step lands next to x* = 0
+    assert rows[0, 3] == 1.0 and rows[-1, 3] <= rows[-1, 5]
+    proc = _run_cli_process("sweep", "--config", cfg, "--out", str(tmp_path), "--quiet", "--gammas", "1e200,5e199")
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["ok", "ok"]
+    assert all(np.isfinite(float(row[1])) and float(row[2]) == 0.0 for row in rows)

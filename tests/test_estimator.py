@@ -17,7 +17,6 @@ from sgdlab.estimator import (
     NoisyGradient,
     SGDStar,
     UniformSGD,
-    rwgc_certificate,
 )
 from sgdlab.harness import STREAM_CHUNK, ExperimentConfig, run_trajectory, verify_assumption
 from sgdlab.problem import QuadraticSum, compute_constants, random_logistic, random_quadratic
@@ -101,11 +100,6 @@ def test_certificate_rcd():
     c = RCD().certificate(PROBLEM, CONSTANTS)
     assert c.A == pytest.approx(PROBLEM.d * CONSTANTS.L, rel=1e-15)
     assert not c.has_sigma
-
-
-def test_growth_condition_presets():
-    c = rwgc_certificate(rho_growth=1.5, L=2.0, sigma_sq=0.3)
-    assert c.A == 3.0 and c.D1 == 0.3 and c.rho == 1.0 and not c.has_sigma
 
 
 @pytest.mark.parametrize("est", ALL_KINDS, ids=_ids(ALL_KINDS))
@@ -238,7 +232,7 @@ def test_lsvrg_randomness_order_index_then_coin():
 
     def check_step(draws, x, before, g, after):
         i, coin = int(draws[0]), draws[1] < est.p
-        expected = PROBLEM.eval_grad_i(i, x) - before.shifts[i] + before.shift_mean
+        expected = PROBLEM.grad_i(i, x) - before.shifts[i] + before.shift_mean
         np.testing.assert_array_equal(g, expected)
         # a refresh re-anchors the shift table at the current iterate
         np.testing.assert_array_equal(after.shifts, PROBLEM.component_grads(x) if coin else before.shifts)

@@ -106,13 +106,15 @@ def test_lyapunov_consistency():
     np.testing.assert_allclose(stats.mean_V, recombined, rtol=1e-12)
 
 
-def test_verify_bound_deterministic_gd_tight_slack():
+def test_verify_bound_deterministic_gd_tight_slack(monkeypatch):
+    monkeypatch.setattr(harness, "BOUND_SLACK_REL", 1e-12)
+    monkeypatch.setattr(harness, "BOUND_SLACK_STAT", 0.0)
     prob = random_quadratic(1, 4, eig_lo=1.0, eig_hi=8.0, shift_scale=1.0, seed=8)
     cfg = ExperimentConfig(
         problem=prob, estimator=FullGradient(), steps=500, trials=1, base_seed=9, record_every=1
     )
     stats = run_monte_carlo(cfg)
-    assert verify_bound(stats, slack_rel=1e-12, slack_stat=0.0).passed
+    assert verify_bound(stats).passed
 
 
 def test_verify_bound_trivial_from_optimum():
@@ -152,13 +154,12 @@ def test_verify_assumption_includes_sigma_recursion():
 
 def test_verify_assumption_rejects_corrupted_certificate():
     est = UniformSGD()
-    bad = est.certificate(HET, HET_CONST).scaled_A(0.5)
     # a certificate that halves A on a problem with aligned curvature must fail
     prob = random_quadratic(2, 2, eig_lo=1.0, eig_hi=4.0, shift_scale=1.0, seed=90)
     cons = compute_constants(prob)
-    report = verify_assumption(
-        prob, cons, est, num_points=100, seed=15, certificate=est.certificate(prob, cons).scaled_A(0.5)
-    )
+    cert = est.certificate(prob, cons)
+    halved = dataclasses.replace(cert, A=cert.A * 0.5)
+    report = verify_assumption(prob, cons, est, num_points=100, seed=15, certificate=halved)
     assert not report.passed
 
 

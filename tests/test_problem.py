@@ -35,26 +35,26 @@ def test_eval_f_two_component_hand_value():
     assert p.eval_f(np.array([1.0, 1.0])) == pytest.approx(1.75, rel=1e-15)
 
 
-def test_eval_grad_i_identity_hessian():
+def test_grad_i_identity_hessian():
     p = quad([I2], [[0, 0]])
-    np.testing.assert_array_equal(p.eval_grad_i(0, np.array([3.0, 4.0])), [3.0, 4.0])
+    np.testing.assert_array_equal(p.grad_i(0, np.array([3.0, 4.0])), [3.0, 4.0])
 
 
-def test_eval_grad_i_hand_value():
+def test_grad_i_hand_value():
     p = quad([np.diag([1.0, 2.0])], [[1.0, 0.0]])
-    np.testing.assert_allclose(p.eval_grad_i(0, np.array([1.0, 1.0])), [0.0, 2.0], atol=0)
+    np.testing.assert_allclose(p.grad_i(0, np.array([1.0, 1.0])), [0.0, 2.0], atol=0)
 
 
 def test_logistic_grad_at_zero():
     # sigmoid(0) = 0.5, so grad = -0.5 * a
     p = LogisticSum(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]), ridge=0.0)
-    np.testing.assert_allclose(p.eval_grad_i(0, np.zeros(2)), [-0.5, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(p.grad_i(0, np.zeros(2)), [-0.5, 0.0], rtol=1e-15)
 
 
 def test_full_grad_single_component():
     p = quad([np.diag([2.0, 5.0])], [[1.0, -1.0]])
     x = np.array([0.3, -0.7])
-    np.testing.assert_array_equal(p.eval_full_grad(x), p.eval_grad_i(0, x))
+    np.testing.assert_array_equal(p.eval_full_grad(x), p.grad_i(0, x))
 
 
 def test_full_grad_two_components_hand_value():
@@ -110,6 +110,13 @@ def _finite_diff_grad(fval, x, h=1e-6):
     return g
 
 
+def _component(p, i):
+    """Component i of p as a one-component problem, whose eval_f is f_i."""
+    if isinstance(p, QuadraticSum):
+        return QuadraticSum(p.A[i : i + 1], p.b[i : i + 1])
+    return LogisticSum(p.features[i : i + 1], p.labels[i : i + 1], p.ridge)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     problems = [
@@ -121,8 +128,8 @@ def test_gradients_match_finite_differences():
         p = problems[checks % 2]
         i = int(rng.integers(p.n))
         x = rng.standard_normal(p.d)
-        fd = _finite_diff_grad(lambda z, i=i, p=p: p._component_value(i, z), x)
-        an = p.eval_grad_i(i, x)
+        fd = _finite_diff_grad(_component(p, i).eval_f, x)
+        an = p.grad_i(i, x)
         denom = max(1.0, float(np.linalg.norm(an)))
         assert np.linalg.norm(an - fd) / denom <= 1e-5
         checks += 1
@@ -145,7 +152,7 @@ def test_smoothness_and_strong_convexity_certificates(problem):
         gx, gy = problem.eval_full_grad(x), problem.eval_full_grad(y)
         assert np.linalg.norm(gx - gy) <= c.L * np.linalg.norm(x - y) * (1 + 1e-10)
         i = int(rng.integers(problem.n))
-        gi_x, gi_y = problem.eval_grad_i(i, x), problem.eval_grad_i(i, y)
+        gi_x, gi_y = problem.grad_i(i, x), problem.grad_i(i, y)
         assert np.linalg.norm(gi_x - gi_y) <= c.L_i[i] * np.linalg.norm(x - y) * (1 + 1e-10)
         lower = problem.eval_f(x) + gx @ (y - x) + 0.5 * c.mu * np.sum((y - x) ** 2)
         assert problem.eval_f(y) >= lower - 1e-10
@@ -202,12 +209,12 @@ def test_rejects_empty_logistic(features):
         LogisticSum(features=features, labels=labels, ridge=1.0)
 
 
-def test_dimension_and_index_errors():
+def test_dimension_errors():
     p = quad([I2], [[0, 0]])
     with pytest.raises(ValueError, match="dimension"):
         p.eval_f(np.zeros(3))
-    with pytest.raises(IndexError):
-        p.eval_grad_i(1, np.zeros(2))
+    with pytest.raises(ValueError, match="dimension"):
+        p.eval_full_grad(np.zeros(3))
 
 
 def test_constants_ordering_invariant():

@@ -209,6 +209,15 @@ def test_full_stepsize_edge_gives_zero_contraction():
     assert curve.bound_at(3) == 0.0
 
 
+def test_a_stepsize_whose_square_overflows_gives_floor_zero_where_d1_and_m_are_zero():
+    # gamma = 1/mu = 1e200: gamma**2 overflows float64, but D1 + M D2 = 0 never multiplies it
+    cert = gd_cert(1e-200)
+    curve = bound_curve(cert, 1e-200, 1e200, 0.0, V0=1.0)
+    assert curve.floor == 0.0 and curve.contraction == pytest.approx(0.0, abs=1e-15)
+    seq = recursion_oracle(cert, 1e-200, 1e200, 0.0, V0=1.0, K=3)
+    assert seq[0] == 1.0 and np.isfinite(seq).all()
+
+
 def test_certificate_invariants():
     with pytest.raises(ValueError, match="rho"):
         Certificate(A=1, B=0, C=0, D1=0, D2=0, rho=0.0, has_sigma=False)
