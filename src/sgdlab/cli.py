@@ -3,12 +3,16 @@
 Exit codes: 0 = success / all checks PASS, 1 = a verification check FAILed
 or a trajectory diverged (non-finite iterate), 2 = usage or configuration
 error, a derived constant that overflows float64, or an output path that
-cannot be written.  Errors are reported as one `error: ...` line on stderr.
+cannot be written, 141 = the reader of stdout closed it before the output was
+written (128 + SIGPIPE, as a shell reports a process that a closed pipe
+ended).  Errors are reported as one `error: ...` line on stderr; a closed
+stdout prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -191,7 +195,15 @@ def main(argv=None) -> int:
         "list": _cmd_list,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; the final flush of what is buffered goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except TrajectoryError as exc:
         print(f"error: {exc} at gamma={exc.gamma!r}", file=sys.stderr)
         return 1

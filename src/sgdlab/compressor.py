@@ -90,7 +90,8 @@ class Identity(Compressor):
         return np.empty(shape + (0,), dtype=bool)  # nothing to draw
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        return np.array(np.broadcast_to(X, draws.shape[:-1] + X.shape[-1:]), dtype=float)
+        lead = np.broadcast_shapes(X.shape[:-1], draws.shape[:-1])
+        return np.array(np.broadcast_to(X, lead + X.shape[-1:]), dtype=float)
 
     def keep_scale(self, d: int) -> tuple[float, float]:
         return 1.0, 1.0

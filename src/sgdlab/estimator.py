@@ -82,22 +82,26 @@ class EstimatorState:
     shift quality (1/n) sum_i ||shifts[i] - grad f_i(x*)||^2.
 
     One state holds a float sigma_sq, shifts (n, d) and shift_mean (d); a
-    batch holds the same fields with a leading axis of length R.  init_state
+    batch holds the same fields with a leading axis of length R, and rows =
+    np.arange(R), with which a step indexes one entry per row.  init_state
     and the exact oracles use one state, step advances a batch.
     """
 
     sigma_sq: float | np.ndarray = 0.0
     shifts: np.ndarray | None = None
     shift_mean: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def copy(self) -> "EstimatorState":
         cp = lambda a: None if a is None else a.copy()
-        return EstimatorState(self.sigma_sq, cp(self.shifts), cp(self.shift_mean))
+        return EstimatorState(self.sigma_sq, cp(self.shifts), cp(self.shift_mean), cp(self.rows))
 
     def tile(self, R: int) -> "EstimatorState":
         """A batch of R copies of this state."""
         rep = lambda a: None if a is None else np.repeat(a[None], R, axis=0)
-        return EstimatorState(np.full(R, float(self.sigma_sq)), rep(self.shifts), rep(self.shift_mean))
+        return EstimatorState(
+            np.full(R, float(self.sigma_sq)), rep(self.shifts), rep(self.shift_mean), np.arange(R)
+        )
 
     def with_shifts(self, shifts: np.ndarray, constants: ProblemConstants) -> "EstimatorState":
         """One state with the shift table shifts (n, d); sigma_sq and any shift_mean follow from it."""
@@ -287,7 +291,7 @@ class LSVRG(Estimator):
     def step(self, problem, constants, X, state, draws):
         i, coin = draws
         G = problem.grad_i(i, X)
-        G -= state.shifts[np.arange(len(i)), i]
+        G -= state.shifts[state.rows, i]
         G += state.shift_mean
         hit = (coin < self.p).nonzero()[0]
         if hit.size:
@@ -435,11 +439,10 @@ class RCD(Estimator):
 
     def step(self, problem, constants, X, state, draws):
         (j,) = draws
-        rows = np.arange(len(j))
         G = np.zeros((len(j), problem.d))
         F = problem.full_grads(X)
         # a one-row X is shared by every row
-        G[rows, j] = problem.d * (F[0, j] if len(F) == 1 else F[rows, j])
+        G[state.rows, j] = problem.d * (F[0, j] if len(F) == 1 else F[state.rows, j])
         return G
 
     def certificate(self, problem, constants):

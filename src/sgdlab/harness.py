@@ -40,15 +40,21 @@ unchecked grad_i.
 
 Verifier replicas share their point as one row that is evaluated once, and
 run in chunks of REPLICA_BYTES per (rows, n, d) array, small enough to stay
-in cache.  They never hold all their draws: the assumption check's replicas
-draw in blocks of DRAW_BYTES per (rows, n, d) array, which fix the stream,
-so REPLICA_BYTES changes no bit, and each chunk of the compressor check
-draws for itself.  Where a draw of m + m' replicas equals a draw of m
-followed by one of m' (Bernoulli masks, Gaussian noise, one index array, and
-so rand_k with k = 1), the stream is that of one draw for all replicas.
-Draws that take several arrays in turn (lsvrg, rand_k with k >= 2) follow
-the blocks.  verify samples only Bernoulli compression above
-BERNOULLI_ENUM_LIMIT, where the oracle raises UnsupportedSizeError.
+in cache.  They never hold all their draws, and every sampled check uses
+common random numbers.  The assumption check's replicas draw from one
+stream, default_rng([seed, 2, 2**34]), in blocks of DRAW_BYTES per (rows, n,
+d) array: each block is drawn once and serves every point of a group in
+turn, and each point reduces it to a mean and a sum of squared deviations
+that merge into its running moments.  Groups hold GROUP_BYTES of points, so
+point j's numbers depend on neither num_points, the grouping nor
+REPLICA_BYTES.  The compressor check draws one mask per replica, in chunks
+of REPLICA_BYTES per (rows, probes, d) array, and applies it to every probe.
+verify samples only Bernoulli compression above BERNOULLI_ENUM_LIMIT, where
+the oracle raises UnsupportedSizeError.
+
+Stream layout 3 is the layout above.  Layout 2 differed only in the sampled
+checks: each point drew its replicas from its own stream after its state,
+and the compressor check drew separate masks for each probe.
 """
 
 from __future__ import annotations
@@ -68,13 +74,14 @@ from .theory import BoundCurve, bound_curve, default_M, lyapunov_value, max_step
 TRIAL_STREAM = 0
 INIT_STREAM = 1
 VERIFY_STREAM = 2
-STREAM_LAYOUT = 2  # version of the draw order documented in estimator.py, recorded in the manifest
+STREAM_LAYOUT = 3  # version of the draw order documented in estimator.py, recorded in the manifest
 STREAM_CHUNK = 256  # steps a trial draws at a time
 
 BLOCK_BYTES = 16 * 2**20  # memory budget of one trial block
 ROW_TEMPS = 6  # (n, d) float arrays one row of a step holds: state, gradients, temporaries
 REPLICA_BYTES = 2**17  # size of one (rows, n, d) float array of a verifier replica chunk
 DRAW_BYTES = 2**20  # replicas a sampled check draws at a time, as (rows, n, d) float bytes; fixes its stream
+GROUP_BYTES = 2**20  # sampled points, as (n, d) float bytes each, that share one pass over the replica stream
 
 BOUND_SLACK_REL = 0.1  # relative slack of verify_bound on the bound
 BOUND_SLACK_STAT = 4.0  # standard errors of the mean V that verify_bound allows
@@ -437,43 +444,57 @@ class Report:
         return f"{status} {self.title} checks={len(self.checks)}{where}"
 
 
-def _mc_moments(est, problem, constants, state, x, rng, samples):
-    """Monte-Carlo E||g||^2 and E[sigma_next^2] from one step of `samples` replicas.
+def _mc_moments(est, problem, constants, points, seed, samples):
+    """Monte-Carlo E||g||^2 and E[sigma_next^2] at each (state, x) of points, from one step of replicas.
 
-    Every replica starts from (x, state) and all share the one row x.  The
-    replicas draw from rng in blocks of DRAW_BYTES per (rows, n, d) array,
-    which fix the stream, and each block runs in chunks of REPLICA_BYTES
-    (one row at least), whose size changes no output bit.
-    Returns ((mean, standard error), (mean, standard error)) in that order.
+    Every point's replicas take the same draws (common random numbers): the
+    stream default_rng([seed, VERIFY_STREAM, 2**34]) is drawn in blocks of
+    DRAW_BYTES per (rows, n, d) array, which fix it, and each block serves
+    the points in turn.  A point's replicas start from (x, state), share the
+    one row x, and run in chunks of REPLICA_BYTES (one row at least).  Each
+    point reduces each block to its mean and sum of squared deviations and
+    merges them into its running ones (Chan, Golub and LeVeque), so its
+    numbers depend on neither the other points nor the chunk size.  An
+    empty list of points draws nothing.
+    Returns one ((mean, standard error), (mean, standard error)) per point.
     """
+    if not points:
+        return []
     row_bytes = 8 * problem.n * problem.d
     block, chunk = max(1, DRAW_BYTES // row_bytes), max(1, REPLICA_BYTES // row_bytes)
-    sq = np.empty(samples)
-    sig = np.empty(samples)
+    rng = np.random.default_rng([seed, VERIFY_STREAM, 2**34])
+    mean, m2 = np.zeros((len(points), 2)), np.zeros((len(points), 2))
+    values = np.empty((2, min(block, samples)))  # (||g||^2, sigma_next^2) of one point's block
     for first in range(0, samples, block):
         size = min(block, samples - first)
         draws = est.draw(problem, rng, size)
-        for lo in range(0, size, chunk):
-            hi = min(size, lo + chunk)
-            batch = state.tile(hi - lo)
-            G = est.step(problem, constants, x[None], batch, [a[lo:hi] for a in draws])
-            sq[first + lo : first + hi] = einsum("rd,rd->r", G, G)
-            sig[first + lo : first + hi] = batch.sigma_sq
-    return tuple((float(v.mean()), float(v.std(ddof=1) / math.sqrt(samples))) for v in (sq, sig))
+        for p, (state, x) in enumerate(points):
+            for lo in range(0, size, chunk):
+                hi = min(size, lo + chunk)
+                batch = state.tile(hi - lo)
+                G = est.step(problem, constants, x[None], batch, [a[lo:hi] for a in draws])
+                einsum("rd,rd->r", G, G, out=values[0, lo:hi])
+                values[1, lo:hi] = batch.sigma_sq
+            block_mean = values[:, :size].mean(axis=1)
+            dev = values[:, :size] - block_mean[:, None]
+            delta = block_mean - mean[p]
+            mean[p] += delta * (size / (first + size))
+            m2[p] += einsum("kr,kr->k", dev, dev) + delta**2 * (first * size / (first + size))
+    se = np.sqrt(m2 / ((samples - 1) * samples))
+    return [tuple((float(m), float(e)) for m, e in zip(*point)) for point in zip(mean, se)]
 
 
 def _perturbed_state(constants: ProblemConstants, base: EstimatorState, rng) -> EstimatorState:
     """Randomly re-anchor the shift table around the optimal shifts grad f_i(x*).
 
     Mode 0 keeps the base table, mode 1 draws shifts at a log-spread radius,
-    mode 2 scales the base table's offsets by c in [-2, 2].  The mode is drawn
-    even when there is no table, which fixes where the Monte-Carlo draws of
-    stateless estimators start in the point's stream.  Any table is a valid
-    state: EstimatorState.with_shifts derives the rest of the state from it.
+    mode 2 scales the base table's offsets by c in [-2, 2].  A state without
+    a table is copied and draws nothing.  Any table is a valid state:
+    EstimatorState.with_shifts derives the rest of the state from it.
     """
-    mode = int(rng.integers(3))
     if base.shifts is None:
         return base.copy()
+    mode = int(rng.integers(3))
     star = constants.grads_at_star
     if mode == 1:
         radius = 10.0 ** rng.uniform(-3, 1) * max(1.0, math.sqrt(constants.sigma_star_sq))
@@ -502,8 +523,9 @@ def verify_assumption(
     the optimal shifts.  The left-hand sides come from the estimator's exact
     oracle (exact_moments); where it raises UnsupportedSizeError (Bernoulli
     compression above BERNOULLI_ENUM_LIMIT), they come from samples_per_point
-    Monte-Carlo draws that both inequalities share.  Exact margins must be
-    >= -1e-10 * RHS, sampled margins >= -4 standard errors.
+    Monte-Carlo replicas that both inequalities share, and that every point
+    of a group of GROUP_BYTES draws in common (see _mc_moments).  Exact
+    margins must be >= -1e-10 * RHS, sampled margins >= -4 standard errors.
 
     Passing a certificate overrides the estimator's own; this is how mutation
     tests inject corrupted constants.
@@ -527,8 +549,8 @@ def verify_assumption(
         X = X - gamma * estimator.step(problem, constants, X, batch, [a[t : t + 1] for a in draws])
         warm.append((X[0].copy(), batch.row(0)))
 
-    report = Report(title=f"assumption[{estimator.name}]")
-    for j in range(num_points):
+    def explore(j: int):
+        """Point j's iterate, state, right-hand sides and exact left-hand sides (None where it samples)."""
         rng = np.random.default_rng([seed, VERIFY_STREAM, j])
         xw, sw = warm[int(rng.integers(len(warm)))]
         radius = 10.0 ** rng.uniform(-3, 1) * scale
@@ -548,15 +570,25 @@ def verify_assumption(
         sides = [("second_moment", 2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1)]
         if cert.has_sigma:
             sides.append(("sigma_recursion", (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2))
-        # left-hand sides as (value, standard error); the oracle draws nothing from rng
         try:
             _, second, sigma_next = estimator.exact_moments(problem, constants, sp, xp)
-            lhs, exact = [(second, 0.0), (sigma_next, 0.0)], True
+            return xp, sp, sides, [(second, 0.0), (sigma_next, 0.0)]
         except UnsupportedSizeError:
-            lhs, exact = _mc_moments(estimator, problem, constants, sp, xp, rng, samples_per_point), False
-        for (name, rhs), (value, se) in zip(sides, lhs):
-            tol = EXACT_MARGIN_RTOL * abs(rhs) if exact else 4.0 * se
-            report.checks.append(Check(f"{name}[{j}]", rhs - value, tol, exact=exact))
+            return xp, sp, sides, None
+
+    report = Report(title=f"assumption[{estimator.name}]")
+    group = max(1, GROUP_BYTES // (8 * problem.n * problem.d))
+    for start in range(0, num_points, group):
+        js = range(start, min(num_points, start + group))
+        points = [explore(j) for j in js]
+        sampled = [(sp, xp) for xp, sp, _, lhs in points if lhs is None]
+        moments = iter(_mc_moments(estimator, problem, constants, sampled, seed, samples_per_point))
+        for j, (_, _, sides, lhs) in zip(js, points):
+            exact = lhs is not None
+            # left-hand sides as (value, standard error)
+            for (name, rhs), (value, se) in zip(sides, lhs if exact else next(moments)):
+                tol = EXACT_MARGIN_RTOL * abs(rhs) if exact else 4.0 * se
+                report.checks.append(Check(f"{name}[{j}]", rhs - value, tol, exact=exact))
     return report
 
 
@@ -602,33 +634,36 @@ def verify_bound(stats: TrajectoryStats) -> Report:
     return report
 
 
-def _compression_moments(compressor, x: np.ndarray, rng, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and standard error of (Q(x) - x, ||Q(x) - x||^2) over `samples` compressions of x.
+def _compression_moments(compressor, X: np.ndarray, rng, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means and standard errors of (Q(x) - x, ||Q(x) - x||^2) for each row x of X.
 
-    x is compressed in chunks of REPLICA_BYTES, each with its own draw from
-    rng.  Each chunk adds to the sums of the values and of their squares, so
-    the sums depend on the chunk size anyway.  Entry d is the squared error;
+    Every row is compressed `samples` times with the same draws (common
+    random numbers): each chunk makes one compressor.draw(rng, (rows, 1), d)
+    and applies it to the whole (probes, d) stack X, with rows such that a
+    (rows, probes, d) float array holds REPLICA_BYTES (one row at least).
+    Each chunk adds to the sums of the values and of their squares, so the
+    sums depend on the chunk size anyway.  Column d is the squared error;
     its sums are taken about the first chunk's mean, so that they do not
-    cancel.
+    cancel.  Returns two (probes, d + 1) arrays.
     """
-    d = x.size
-    chunk = max(1, REPLICA_BYTES // (8 * d))
-    total, total_sq, centre = np.zeros(d + 1), np.zeros(d + 1), None
+    probes, d = X.shape
+    chunk = max(1, REPLICA_BYTES // (8 * probes * d))
+    total, total_sq, centre = np.zeros((probes, d + 1)), np.zeros((probes, d + 1)), None
     for start in range(0, samples, chunk):
-        E = compressor.apply(x, compressor.draw(rng, (min(chunk, samples - start),), d))
-        E -= x
+        E = compressor.apply(X, compressor.draw(rng, (min(chunk, samples - start), 1), d))
+        E -= X
         E2 = E * E
-        err = einsum("rd->r", E2)
+        err = einsum("rpd->rp", E2)
         if centre is None:
-            centre = err.mean()
+            centre = err.mean(axis=0)
         err -= centre
-        total[:d] += einsum("rd->d", E)
-        total_sq[:d] += einsum("rd->d", E2)
-        total[d] += err.sum()
-        total_sq[d] += einsum("r,r->", err, err)
+        total[:, :d] += einsum("rpd->pd", E)
+        total_sq[:, :d] += einsum("rpd->pd", E2)
+        total[:, d] += einsum("rp->p", err)
+        total_sq[:, d] += einsum("rp,rp->p", err, err)
     mean = total / samples
     var = (total_sq - samples * mean**2) / (samples - 1)
-    mean[d] += centre
+    mean[:, d] += centre
     return mean, np.sqrt(np.maximum(var, 0.0) / samples)
 
 
@@ -638,26 +673,28 @@ def verify_compressor(compressor, d: int, seed: int = 0) -> Report:
     Exact from the compressor's per-coordinate moments (exact_moments) up to
     a relative 1e-12.  Where exact_moments raises UnsupportedSizeError
     (Bernoulli above BERNOULLI_ENUM_LIMIT, only the policy for where this check
-    samples), each probe is compressed 10^5 times with a 4-standard-error
-    slack; the sampled variance check also allows the exact check's round-off.
+    samples), the probes are compressed 10^5 times with the same draws and a
+    4-standard-error slack; the sampled variance check also allows the exact
+    check's round-off.
     """
     rng = np.random.default_rng([seed, VERIFY_STREAM, 2**33])
     omega = compressor.omega(d)
     report = Report(title=f"compressor[{compressor.name}]")
-    probes = [rng.standard_normal(d) for _ in range(COMPRESSOR_PROBES - 1)]
-    probes.append(np.ones(d))
+    probes = np.array([rng.standard_normal(d) for _ in range(COMPRESSOR_PROBES - 1)] + [np.ones(d)])
+    try:
+        mean, mse = compressor.exact_moments(probes)
+        exact = True
+    except UnsupportedSizeError:
+        mean, se = _compression_moments(compressor, probes, rng, 10**5)
+        exact = False
     for idx, x in enumerate(probes):
         norm_sq = float(x @ x)
-        try:
-            mean, mse = compressor.exact_moments(x)
-            unbiased = (1e-12 * max(1.0, norm_sq) - float(np.max(np.abs(mean - x))), 0.0)
-            variance = (omega * norm_sq * (1.0 + 1e-12) - float(mse), 0.0)
-            exact = True
-        except UnsupportedSizeError:
-            mean, se = _compression_moments(compressor, x, rng, 10**5)
-            unbiased = (float(np.min(4.0 * se[:d] - np.abs(mean[:d]))), 0.0)
-            variance = (omega * norm_sq - float(mean[d]), 4.0 * float(se[d]) + 1e-12 * omega * norm_sq)
-            exact = False
+        if exact:
+            unbiased = (1e-12 * max(1.0, norm_sq) - float(np.max(np.abs(mean[idx] - x))), 0.0)
+            variance = (omega * norm_sq * (1.0 + 1e-12) - float(mse[idx]), 0.0)
+        else:
+            unbiased = (float(np.min(4.0 * se[idx, :d] - np.abs(mean[idx, :d]))), 0.0)
+            variance = (omega * norm_sq - float(mean[idx, d]), 4.0 * float(se[idx, d]) + 1e-12 * omega * norm_sq)
         report.checks.append(Check(f"unbiased[{idx}]", *unbiased, exact=exact))
         report.checks.append(Check(f"variance[{idx}]", *variance, exact=exact))
     return report

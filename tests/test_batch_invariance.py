@@ -150,7 +150,7 @@ def test_sampled_moments_do_not_depend_on_the_replica_chunk(
 
     def moments(budget):
         with mock.patch.object(harness, "REPLICA_BYTES", budget):
-            return _mc_moments(est, prob, cons, state, x, np.random.default_rng([seed, 1]), samples)
+            return _mc_moments(est, prob, cons, [(state, x)], seed, samples)
 
     row_bytes = 8 * prob.n * d  # one row of a (rows, n, d) float array
     assert moments(chunk * row_bytes) == moments(harness.REPLICA_BYTES)

@@ -142,7 +142,7 @@ def test_manifest_records_stream_layout(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     manifest = configparser.ConfigParser(interpolation=None)
     manifest.read(out / "manifest")
-    assert manifest["tool"]["stream"] == "2"
+    assert manifest["tool"]["stream"] == "3"
 
 
 def test_seed_and_trials_overrides(tmp_path):
@@ -185,6 +185,30 @@ def test_diverging_run_is_a_one_line_error(tmp_path):
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
     # the error names the step that overflowed, not the next recorded one (record_every = 20)
     assert "iteration 0 in trial 0" in proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["list", "verify"])
+def test_a_closed_stdout_exits_141_and_prints_nothing(tmp_path, command, buffered):
+    """A reader that has gone is no configuration error: no `error:` line, no traceback, exit 141."""
+    cfg = write(tmp_path, ISOTROPIC_GD)
+    args = {"list": [], "verify": ["--config", cfg, "--points", "2"]}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader closes before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdlab.cli", command, *args[command]],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_verify_passes_on_sound_config(tmp_path, capsys):

@@ -123,6 +123,10 @@ def test_apply_broadcasts_a_shared_vector(d, m, n, k, kind, seed):
     np.testing.assert_array_equal(comp.apply(x, draws), comp.apply(np.tile(x, (m, 1)), draws))
     draws = comp.draw(rng, (m, n), d)
     np.testing.assert_array_equal(comp.apply(V, draws), comp.apply(np.tile(V, (m, 1, 1)), draws))
+    # one draw per row shared by a stack of n vectors, as verify_compressor compresses its probes
+    draws = comp.draw(rng, (m, 1), d)
+    expected = comp.apply(np.tile(V, (m, 1, 1)), np.repeat(draws, n, axis=1))
+    np.testing.assert_array_equal(comp.apply(V[0], draws), expected)
 
 
 def _block_rows(d):

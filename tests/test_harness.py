@@ -31,6 +31,13 @@ HET = random_quadratic(20, 5, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=71)
 HET_CONST = compute_constants(HET)
 
 
+class HalfOmega(BernoulliScale):
+    """A Bernoulli compressor that claims half its omega."""
+
+    def omega(self, d):
+        return 0.5 * super().omega(d)
+
+
 def test_gd_trajectory_dominated_by_geometric_decay():
     prob = random_quadratic(1, 6, eig_lo=1.0, eig_hi=10.0, shift_scale=1.0, seed=2)
     cfg = ExperimentConfig(
@@ -186,13 +193,16 @@ SHIFTED = [LSVRG(p=0.3), DIANA(compressor=RandK(k=1))]
     ids=["lsvrg", "diana", "noisy_gd", "cdgd-rand_k-2"],
 )
 def test_sampled_moments_agree_with_exact_oracles(est):
+    """Every point of one call shares the replicas' draws; each point's moments still match its oracle."""
     samples = 4000
     has_sigma = est.certificate(HET, HET_CONST).has_sigma
+    points = []
     for j, base in enumerate(_warm_states(est)[::2]):
         rng = np.random.default_rng([42, j])
         state = _perturbed_state(HET_CONST, base, rng)
-        x = HET_CONST.x_star + rng.standard_normal(HET.d)
-        (m2, se2), (msig, sesig) = _mc_moments(est, HET, HET_CONST, state, x, rng, samples)
+        points.append((state, HET_CONST.x_star + rng.standard_normal(HET.d)))
+    sampled = _mc_moments(est, HET, HET_CONST, points, 42, samples)
+    for j, ((state, x), ((m2, se2), (msig, sesig))) in enumerate(zip(points, sampled)):
         _, exact2, exact_sig = est.exact_moments(HET, HET_CONST, state, x)
         assert abs(m2 - exact2) <= 4.0 * se2, (j, m2, exact2, se2)
         assert (exact_sig is None) == (not has_sigma)
@@ -227,12 +237,14 @@ def test_rand_k_is_exact_above_any_subset_count():
         assert report.passed, "\n".join(report.lines())
         assert all(line.endswith("[exact]") for line in report.lines())
     rng = np.random.default_rng(55)
-    for x in (rng.standard_normal(d), np.ones(d)):
+    X = np.array([rng.standard_normal(d), np.ones(d)])
+    # means of Q(x) - x, then of the error, for both rows under the same draws
+    sampled, se = harness._compression_moments(comp, X, rng, 10**5)
+    for x, row, row_se in zip(X, sampled, se):
         mean, mse = comp.exact_moments(x)
-        sampled, se = harness._compression_moments(comp, x, rng, 10**5)  # means of Q(x) - x, then of the error
-        assert np.all(np.abs(sampled[:d] - (mean - x)) <= 4.0 * se[:d])
+        assert np.all(np.abs(row[:d] - (mean - x)) <= 4.0 * row_se[:d])
         # all ones: every error is the same, so se is 0 and only round-off remains
-        assert abs(sampled[d] - mse) <= 4.0 * se[d] + 1e-12 * mse, (sampled[d], mse, se[d])
+        assert abs(row[d] - mse) <= 4.0 * row_se[d] + 1e-12 * mse, (row[d], mse, row_se[d])
 
 
 @pytest.mark.parametrize("d,exact", [(16, True), (17, False)])
@@ -259,6 +271,41 @@ def test_sampled_verifier_on_diana_bernoulli():
     assert not any(c.exact for c in report.checks)
 
 
+def test_a_sampled_point_does_not_depend_on_the_other_points_the_groups_or_the_chunks(monkeypatch):
+    """Point j's replicas take the shared blocks, so its lines are the same in any company and chunking."""
+    prob = random_quadratic(4, 17, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=64)
+    cons = compute_constants(prob)
+    est = DIANA(compressor=BernoulliScale(q=0.25))  # 2^17 keep-masks: sampled
+    row_bytes = 8 * prob.n * prob.d
+    monkeypatch.setattr(harness, "DRAW_BYTES", 64 * row_bytes)  # 500 replicas in 8 blocks
+
+    def lines(num_points):
+        return verify_assumption(prob, cons, est, num_points=num_points, samples_per_point=500, seed=65).lines()
+
+    three = lines(3)
+    assert len(three) == 6 and all(line.endswith("[sampled]") for line in three)
+    assert lines(1) == three[:2]
+    monkeypatch.setattr(harness, "REPLICA_BYTES", 3 * row_bytes)  # chunks of 3 rows, which do not divide a block
+    assert lines(3) == three
+    monkeypatch.setattr(harness, "GROUP_BYTES", 2 * row_bytes)  # groups of points 0-1 and 2
+    assert lines(3) == three
+
+
+def test_sampled_assumption_check_catches_corrupted_certificates():
+    """A halved A and a compressor that claims half its omega still FAIL where the check samples."""
+    prob = random_quadratic(6, 17, eig_lo=1.0, eig_hi=3.0, shift_scale=0.0, seed=62)
+    cons = compute_constants(prob)
+    est = CDGD(compressor=BernoulliScale(q=0.4))  # 2^17 keep-masks: sampled
+    cert = est.certificate(prob, cons)
+    halved = dataclasses.replace(cert, A=cert.A * 0.5)
+    for report in (
+        verify_assumption(prob, cons, est, num_points=10, samples_per_point=2000, seed=63, certificate=halved),
+        verify_assumption(prob, cons, DIANA(compressor=HalfOmega(q=0.4)), num_points=10, samples_per_point=2000, seed=63),
+    ):
+        assert not any(c.exact for c in report.checks)
+        assert not report.passed, "\n".join(report.lines())
+
+
 @pytest.mark.parametrize(
     "est", SHIFTED + [UniformSGD(), RCD()], ids=["lsvrg", "diana", "sgd", "rcd"]
 )
@@ -275,10 +322,6 @@ def test_perturbed_states_are_consistent_shift_tables(est):
 
 
 def test_sampled_compressor_check_catches_halved_omega():
-    class HalfOmega(BernoulliScale):
-        def omega(self, d):
-            return 0.5 * super().omega(d)
-
     report = verify_compressor(HalfOmega(q=0.5), 17, seed=5)  # 2^17 keep-masks: sampled
     variance = [c for c in report.checks if c.name.startswith("variance[")]
     assert len(variance) == 5 and not any(c.exact for c in variance)
@@ -289,18 +332,19 @@ def test_sampled_compressor_check_catches_halved_omega():
 def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
     """Chunked compressions with merged moments give the margins of all 10^5 compressions at once.
 
-    Each chunk of REPLICA_BYTES takes its own draw, concatenated here.
+    Each chunk of REPLICA_BYTES per (rows, probes, d) array takes one draw,
+    concatenated here, that every probe shares.
     """
     samples, omega = 10**5, comp.omega(d)
-    chunk = harness.REPLICA_BYTES // (8 * d)
+    chunk = harness.REPLICA_BYTES // (8 * harness.COMPRESSOR_PROBES * d)
     report = verify_compressor(comp, d, seed=5)
     rng = np.random.default_rng([5, VERIFY_STREAM, 2**33])
     probes = [rng.standard_normal(d) for _ in range(4)] + [np.ones(d)]
+    sizes = [min(chunk, samples - s) for s in range(0, samples, chunk)]
+    keep = np.concatenate([comp.draw(rng, (size, 1), d) for size in sizes])
     for idx, x in enumerate(probes):
         norm_sq = float(x @ x)
-        sizes = [min(chunk, samples - s) for s in range(0, samples, chunk)]
-        keep = np.concatenate([comp.draw(rng, (size,), d) for size in sizes])
-        draws = comp.apply(np.tile(x, (samples, 1)), keep)
+        draws = comp.apply(x, keep)[:, 0]
         se_mean = draws.std(axis=0, ddof=1) / math.sqrt(samples)
         err = np.sum((draws - x) ** 2, axis=1)
         se_err = float(err.std(ddof=1)) / math.sqrt(samples)
@@ -347,6 +391,16 @@ def test_sampled_assumption_check_streams_through_a_small_working_set():
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_sampled_assumption_check_keeps_a_small_working_set_at_100_points():
+    """100 points share each replica block: they hold O(points) floats and one block, not every replica."""
+    prob = random_quadratic(10, 17, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=66)
+    cons = compute_constants(prob)
+    est = DIANA(compressor=BernoulliScale(q=0.25))  # 2^17 keep-masks: sampled
+    report, peak = _traced_peak_bytes(lambda: verify_assumption(prob, cons, est, num_points=100, seed=67))
+    assert report.passed and not any(c.exact for c in report.checks)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_sampled_checks_draw_one_block_at_a_time():
     """At n = 50, d = 100 all 10^4 DIANA replicas' keep masks take 50 MB, 10^5 compressions' 10 MB."""
     prob = random_quadratic(50, 100, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=48)
@@ -366,16 +420,19 @@ def test_sampled_checks_draw_one_block_at_a_time():
     ids=["diana-bernoulli", "cdgd-rand_k-1", "noisy_gd"],
 )
 def test_sampled_stream_of_one_draw_array_does_not_depend_on_the_draw_block(est, monkeypatch):
-    """Bernoulli masks, rand_k with k = 1 and Gaussian noise draw the same in blocks as in one call."""
+    """Bernoulli masks, rand_k with k = 1 and Gaussian noise draw the same in blocks as in one call.
+
+    Each block's moments merge into the running ones, so the sums agree to round-off, not bit for bit.
+    """
     x = HET_CONST.x_star + 0.5
     state = est.init_state(HET, HET_CONST, x)
     row_bytes, samples = 8 * HET.n * HET.d, 3000
 
     def moments(rows_per_block):
         monkeypatch.setattr(harness, "DRAW_BYTES", rows_per_block * row_bytes)
-        return _mc_moments(est, HET, HET_CONST, state, x, np.random.default_rng(50), samples)
+        return np.array(_mc_moments(est, HET, HET_CONST, [(state, x)], 50, samples))
 
-    assert moments(7) == moments(samples)
+    np.testing.assert_allclose(moments(7), moments(samples), rtol=1e-12, atol=0)
 
 
 def test_variance_reduction_signature():

@@ -18,9 +18,11 @@ take 300 steps, more than one draw chunk, and record every step.  Last, one
 Bernoulli compressor (q = 0.25, n = 10) at d = 20, where the assumption and
 compressor checks sample, and at d = 12, where they are exact, and lsvrg.
 
---compare exits 1 when the two files have the same header but any other line
+--compare prints every line that differs, "-" from BASE and "+" from CHANGE.
+It exits 1 when the two files have the same header but any other line
 differs: an output may change only together with the stream layout version.
-With different headers it reports the change of layout and exits 0.
+With different headers it reports the change of layout and exits 0, so the
+list shows what the new layout moved.
 """
 
 from __future__ import annotations
@@ -117,17 +119,15 @@ def digests(src: Path) -> list[str]:
 
 
 def compare(base: Path, change: Path) -> int:
-    def split(path: Path) -> tuple[list[str], list[str]]:
-        lines = path.read_text().splitlines()
-        return [l for l in lines if l.startswith(HEADER)], [l for l in lines if not l.startswith(HEADER)]
-
-    (old_head, old_body), (new_head, new_body) = split(base), split(change)
-    if old_head != new_head:
-        print(f"header changed: {old_head} -> {new_head}; outputs may differ")
-        return 0
-    differ = sorted(set(old_body) ^ set(new_body))
+    old, new = base.read_text().splitlines(), change.read_text().splitlines()
+    # by the name before the digest or value, the base's line first
+    differ = sorted(set(old) ^ set(new), key=lambda line: (line.rsplit(" ", 1)[0], line in new))
     for line in differ:
-        print(("-" if line in old_body else "+") + " " + line)
+        print(("-" if line in old else "+") + " " + line)
+    old_head, new_head = [l for l in old if l.startswith(HEADER)], [l for l in new if l.startswith(HEADER)]
+    if old_head != new_head:
+        print(f"header changed: {old_head} -> {new_head}; {len(differ)} lines differ, listed above")
+        return 0
     if not differ:
         print("all digests match")
         return 0
