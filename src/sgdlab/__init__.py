@@ -9,7 +9,7 @@ are dominated by the bound.
 
 __version__ = "0.1.0"
 
-from .compressor import BernoulliScale, Compressor, Identity, RandK, UnsupportedSizeError
+from .compressor import COMPRESSORS, BernoulliScale, Compressor, Identity, RandK, UnsupportedSizeError
 from .estimator import (
     CDGD,
     DIANA,
@@ -51,6 +51,7 @@ __all__ = [
     "BernoulliScale",
     "BoundCurve",
     "CDGD",
+    "COMPRESSORS",
     "Certificate",
     "Compressor",
     "DIANA",

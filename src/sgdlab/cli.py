@@ -2,11 +2,11 @@
 
 Exit codes: 0 = success / all checks PASS, 1 = a verification check FAILed
 or a trajectory diverged (non-finite iterate), 2 = usage or configuration
-error, a derived constant that overflows float64, or an output path that
-cannot be written, 141 = the reader of stdout closed it before the output was
-written (128 + SIGPIPE, as a shell reports a process that a closed pipe
-ended).  Errors are reported as one `error: ...` line on stderr; a closed
-stdout prints nothing.
+error, a derived constant that overflows float64, a config whose arrays do
+not fit in memory, or an output path that cannot be written, 141 = the
+reader of stdout closed it before the output was written (128 + SIGPIPE, as
+a shell reports a process that a closed pipe ended).  Errors are reported
+as one `error: ...` line on stderr; a closed stdout prints nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, manifest_text, parse_config, stats_csv_text
-from .estimator import CERTIFICATE_FORMULAS, ESTIMATORS
+from .compressor import COMPRESSORS
+from .estimator import ESTIMATORS
 from .harness import (
     TrajectoryError,
     run_monte_carlo,
@@ -101,9 +102,7 @@ def _cmd_verify(args) -> int:
     reports = []
     compressor = getattr(resolved.estimator, "compressor", None)
     if compressor is not None:
-        reports.append(
-            verify_compressor(compressor, resolved.problem.d, seed=resolved.base_seed)
-        )
+        reports.append(verify_compressor(compressor, resolved.problem.d, seed=resolved.base_seed))
     reports.append(
         verify_assumption(
             resolved.problem,
@@ -172,13 +171,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_list(args) -> int:
     print("estimators:")
-    for name in sorted(ESTIMATORS):
-        print(f"  {name:10s} {ESTIMATORS[name]().describe()}")
-        print(f"  {'':10s} certificate: {CERTIFICATE_FORMULAS[name]}")
+    for name, cls in sorted(ESTIMATORS.items()):
+        print(f"  {name:10s} {cls.summary}")
+        print(f"  {'':10s} certificate: {cls.formula}")
     print("compressors:")
-    print("  identity   no compression (omega = 0)")
-    print("  rand_k     keep a random k-subset scaled by d/k (omega = d/k - 1)")
-    print("  bernoulli  keep coordinates independently w.p. q scaled by 1/q (omega = 1/q - 1)")
+    for name, cls in sorted(COMPRESSORS.items()):
+        print(f"  {name:10s} {cls.summary}")
     print("problem generators:")
     print("  quadratic  random rotations of a prescribed spectrum; offsets set the")
     print("             heterogeneity (shift_scale = 0 gives a shared minimizer)")
@@ -212,6 +210,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:  # float ** raises where * gives inf: a config too large for float64
         print(f"error: floating-point overflow: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy cannot allocate an array that the config sizes
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -38,9 +38,14 @@ class UnsupportedSizeError(ValueError):
 
 
 class Compressor:
-    """Base class for unbiased compressors."""
+    """Base class for unbiased compressors.
 
-    name: str = "base"
+    A subclass is its kind's one declaration: its COMPRESSORS key name, a one-line summary for
+    `sgdlab list`, and its dataclass fields, which are its config keys.
+    """
+
+    name = "base"
+    summary = ""
 
     def omega(self, d: int) -> float:
         """Certified variance parameter for dimension d."""
@@ -73,15 +78,13 @@ class Compressor:
         # and then subtracting p cancels digits; a sum along the last axis keeps rows independent
         return p * s * X, (p * (s - 1.0) ** 2 + (1.0 - p)) * (X * X).sum(axis=-1)
 
-    def describe(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Identity(Compressor):
     """No compression: Q(x) = x, omega = 0."""
 
-    name: str = "identity"
+    name = "identity"
+    summary = "no compression (omega = 0)"
 
     def omega(self, d: int) -> float:
         return 0.0
@@ -96,9 +99,6 @@ class Identity(Compressor):
     def keep_scale(self, d: int) -> tuple[float, float]:
         return 1.0, 1.0
 
-    def describe(self) -> str:
-        return "identity (omega = 0)"
-
 
 @dataclass(frozen=True)
 class RandK(Compressor):
@@ -110,7 +110,8 @@ class RandK(Compressor):
     """
 
     k: int
-    name: str = "rand_k"
+    name = "rand_k"
+    summary = "keep a random k-subset scaled by d/k (omega = d/k - 1)"
 
     def _check(self, d: int) -> None:
         if not 1 <= self.k <= d:
@@ -156,9 +157,6 @@ class RandK(Compressor):
         self._check(d)
         return self.k / d, d / self.k
 
-    def describe(self) -> str:
-        return f"rand_k (k = {self.k}, omega = d/k - 1)"
-
 
 @dataclass(frozen=True)
 class BernoulliScale(Compressor):
@@ -168,7 +166,8 @@ class BernoulliScale(Compressor):
     """
 
     q: float
-    name: str = "bernoulli"
+    name = "bernoulli"
+    summary = "keep coordinates independently w.p. q scaled by 1/q (omega = 1/q - 1)"
 
     def __post_init__(self) -> None:
         if not 0 < self.q <= 1:
@@ -197,6 +196,6 @@ class BernoulliScale(Compressor):
             raise UnsupportedSizeError(f"d = {d} exceeds {BERNOULLI_ENUM_LIMIT} coordinates")
         return self.q, 1.0 / self.q
 
-    def describe(self) -> str:
-        return f"bernoulli (q = {self.q:g}, omega = 1/q - 1)"
+
+COMPRESSORS: dict[str, type[Compressor]] = {cls.name: cls for cls in (Identity, RandK, BernoulliScale)}
 

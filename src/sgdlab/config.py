@@ -5,8 +5,8 @@ Configs are flat INI documents with three sections:
     [problem]    family = quadratic | logistic, then either generator
                  parameters (n, d, seed, ...) or explicit JSON arrays
                  (matrices/offsets, features/labels)
-    [estimator]  kind = gd | sgd | noisy_gd | sgd_star | lsvrg | cdgd |
-                 diana | rcd, plus kind-specific parameters
+    [estimator]  kind = a registered estimator (`sgdlab list`), plus one key
+                 per field of its class (see build_estimator)
     [run]        gamma, lyapunov_m, steps, trials, seed, record_every,
                  x0_radius, x0_mode
 
@@ -19,6 +19,7 @@ re-running it reproduces the outputs bitwise.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 import json
 import math
@@ -27,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .compressor import BernoulliScale, Compressor, Identity, RandK
-from .estimator import CDGD, DIANA, LSVRG, Estimator, ESTIMATORS, NoisyGradient
+from .compressor import COMPRESSORS
+from .estimator import ESTIMATORS
 from .harness import STREAM_LAYOUT, ExperimentConfig, ResolvedExperiment
 from .problem import (
     FiniteSumProblem,
@@ -61,7 +62,8 @@ class _Section:
     def has(self, key: str) -> bool:
         return key in self.values
 
-    def _raw(self, key: str, default):
+    def get_str(self, key: str, default=None) -> str:
+        """The raw value of key, or default; a missing key whose default is _REQUIRED is an error."""
         self.seen.add(key)
         if key not in self.values:
             if default is _REQUIRED:
@@ -69,11 +71,8 @@ class _Section:
             return default
         return self.values[key]
 
-    def get_str(self, key: str, default=None) -> str:
-        return self._raw(key, default)
-
     def get_int(self, key: str, default=None) -> int:
-        v = self._raw(key, default)
+        v = self.get_str(key, default)
         if isinstance(v, int):
             return v
         try:
@@ -89,7 +88,7 @@ class _Section:
 
     def get_float(self, key: str, default=None, auto: bool = False) -> float | str:
         """A number; with auto=True the literal 'auto' is returned as is."""
-        v = self._raw(key, default)
+        v = self.get_str(key, default)
         if auto and isinstance(v, str) and v.strip() == "auto":
             return "auto"
         try:
@@ -103,7 +102,7 @@ class _Section:
 
     def get_array(self, key: str) -> np.ndarray:
         """A required JSON array of numbers with a regular (not ragged) shape, as floats."""
-        v = self._raw(key, _REQUIRED)
+        v = self.get_str(key, _REQUIRED)
         try:
             return np.asarray(json.loads(v), dtype=float)
         except json.JSONDecodeError as exc:
@@ -155,38 +154,33 @@ def build_problem(section: _Section) -> FiniteSumProblem:
     raise ConfigError(f"[problem] family must be 'quadratic' or 'logistic', got {family!r}")
 
 
-def _build_compressor(section: _Section) -> Compressor:
-    kind = section.get_str("compressor", "identity")
-    if kind == "identity":
-        return Identity()
-    if kind == "rand_k":
-        return RandK(k=section.get_int("k", _REQUIRED))
-    if kind == "bernoulli":
-        return BernoulliScale(q=section.get_float("q", _REQUIRED))
-    raise ConfigError(f"[estimator] unknown compressor {kind!r}")
+def _build(registry: dict[str, type], what: str, kind: str, section: _Section):
+    """registry[kind], each dataclass field read from the key of its name by its (string) annotation.
 
-
-def build_estimator(section: _Section) -> Estimator:
-    kind = section.get_str("kind", _REQUIRED)
-    if kind not in ESTIMATORS:
-        raise ConfigError(f"[estimator] unknown kind {kind!r}; available: {', '.join(sorted(ESTIMATORS))}")
-    try:
-        if kind == "lsvrg":
-            est: Estimator = LSVRG(p=section.get_float("p", _REQUIRED))
-        elif kind == "noisy_gd":
-            est = NoisyGradient(sigma=section.get_float("sigma", _REQUIRED))
-        elif kind == "cdgd":
-            est = CDGD(compressor=_build_compressor(section))
-        elif kind == "diana":
-            alpha = section.get_float("alpha", "auto", auto=True)
-            est = DIANA(
-                compressor=_build_compressor(section),
-                alpha=None if alpha == "auto" else alpha,
-            )
+    A float or int field is a required number, float | None a number or 'auto' (None, the default),
+    and a Compressor field names a compressor (default: the field's), whose fields are keys here too.
+    """
+    if kind not in registry:
+        raise ConfigError(f"[{section.name}] unknown {what} {kind!r}; available: {', '.join(sorted(registry))}")
+    values = {}
+    for f in dataclasses.fields(registry[kind]):
+        if f.type == "Compressor":
+            compressor = section.get_str(f.name, f.default_factory.name)
+            values[f.name] = _build(COMPRESSORS, "compressor", compressor, section)
+        elif f.type == "float | None":
+            value = section.get_float(f.name, "auto", auto=True)
+            values[f.name] = None if value == "auto" else value
         else:
-            est = ESTIMATORS[kind]()
+            values[f.name] = {"float": section.get_float, "int": section.get_int}[f.type](f.name, _REQUIRED)
+    try:
+        return registry[kind](**values)
     except ValueError as exc:
-        raise ConfigError(f"[estimator] {exc}") from None
+        raise ConfigError(f"[{section.name}] {exc}") from None
+
+
+def build_estimator(section: _Section):
+    """The estimator of the section's kind, each field of its class read from one key (see _build)."""
+    est = _build(ESTIMATORS, "kind", section.get_str("kind", _REQUIRED), section)
     section.reject_unknown()
     return est
 
@@ -205,10 +199,7 @@ def parse_config_text(text: str) -> LoadedConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    for name in list(sections):
-        if name in IGNORED_SECTIONS:
-            del sections[name]
+    sections = {name: dict(parser.items(name)) for name in parser.sections() if name not in IGNORED_SECTIONS}
     unknown = set(sections) - {"problem", "estimator", "run"}
     if unknown:
         raise ConfigError(f"unknown sections: {', '.join(sorted(unknown))}")
@@ -254,8 +245,8 @@ def manifest_text(loaded: LoadedConfig, resolved: ResolvedExperiment, version: s
     out = configparser.ConfigParser(interpolation=None)
     out["problem"] = dict(loaded.sections["problem"])
     est_section = dict(loaded.sections["estimator"])
-    if isinstance(resolved.estimator, DIANA):
-        est_section["alpha"] = _fmt(resolved.estimator.resolved_alpha(resolved.problem.d))
+    for key, value in resolved.estimator.resolved_fields(resolved.problem.d).items():
+        est_section[key] = _fmt(value)
     out["estimator"] = est_section
 
     stride = int(np.diff(resolved.record_ks).max()) if len(resolved.record_ks) > 1 else 1
@@ -269,14 +260,8 @@ def manifest_text(loaded: LoadedConfig, resolved: ResolvedExperiment, version: s
         "x0_radius": _fmt(loaded.experiment.x0_radius),
         "x0_mode": loaded.experiment.x0_mode,
     }
-    cert = resolved.certificate
-    out["certificate"] = {
-        "a": _fmt(cert.A),
-        "b": _fmt(cert.B),
-        "c": _fmt(cert.C),
-        "d1": _fmt(cert.D1),
-        "d2": _fmt(cert.D2),
-        "rho": _fmt(cert.rho),
+    cert = dataclasses.asdict(resolved.certificate)  # A, B, C, D1, D2, rho, then has_sigma
+    out["certificate"] = {key.lower(): _fmt(value) for key, value in cert.items() if key != "has_sigma"} | {
         "gamma": _fmt(resolved.gamma),
         "m": _fmt(resolved.M),
         "contraction": _fmt(resolved.curve.contraction),

@@ -124,9 +124,15 @@ def shift_quality(shifts: np.ndarray, constants: ProblemConstants) -> float | np
 
 
 class Estimator:
-    """Base class; subclasses implement one batched sampling rule each."""
+    """Base class; subclasses implement one batched sampling rule each.
 
-    name: str = "base"
+    A subclass is its kind's one declaration: its ESTIMATORS key name, a one-line summary, the
+    certificate formula that `sgdlab list` prints, and its dataclass fields, which are its config keys.
+    """
+
+    name = "base"
+    summary = ""
+    formula = ""
 
     def init_state(
         self, problem: FiniteSumProblem, constants: ProblemConstants, x0: np.ndarray
@@ -159,15 +165,18 @@ class Estimator:
         """Exact (E[g], E||g||^2, E[sigma_next^2]) at one state and x; sigma_next is None without sigma."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.name
+    def resolved_fields(self, d: int) -> dict[str, float]:
+        """The values of the 'auto' (None) fields at dimension d, as a manifest records them."""
+        return {}
 
 
 @dataclass
 class FullGradient(Estimator):
     """Deterministic gradient descent: g = grad f(x)."""
 
-    name: str = field(default="gd", init=False)
+    name = "gd"
+    summary = "full gradient descent"
+    formula = "A=L, B=0, C=0, D1=0, D2=0, rho=1"
 
     def step(self, problem, constants, X, state, draws):
         return problem.full_grads(X)
@@ -179,15 +188,14 @@ class FullGradient(Estimator):
         g = problem.eval_full_grad(x)
         return g, float(g @ g), None
 
-    def describe(self) -> str:
-        return "full gradient descent"
-
 
 @dataclass
 class UniformSGD(Estimator):
     """g = grad f_i(x) with i uniform; certified via expected smoothness L_max."""
 
-    name: str = field(default="sgd", init=False)
+    name = "sgd"
+    summary = "uniform-sampling SGD"
+    formula = "A=2*L_max, B=0, C=0, D1=2*sigma_star^2, D2=0, rho=1"
 
     def draw(self, problem, rng, m):
         return (rng.integers(problem.n, size=m),)
@@ -203,9 +211,6 @@ class UniformSGD(Estimator):
         grads = problem.component_grads(x)
         return grads.sum(axis=0) / problem.n, float(np.mean(np.sum(grads**2, axis=1))), None
 
-    def describe(self) -> str:
-        return "uniform-sampling SGD"
-
 
 @dataclass
 class NoisyGradient(Estimator):
@@ -215,7 +220,9 @@ class NoisyGradient(Estimator):
     """
 
     sigma: float = 0.1
-    name: str = field(default="noisy_gd", init=False)
+    name = "noisy_gd"
+    summary = "gradient descent with Gaussian noise of level sigma per coordinate"
+    formula = "A=L, B=0, C=0, D1=d*sigma^2, D2=0, rho=1"
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
@@ -235,15 +242,14 @@ class NoisyGradient(Estimator):
         g = problem.eval_full_grad(x)
         return g, float(g @ g + problem.d * self.sigma**2), None
 
-    def describe(self) -> str:
-        return f"gradient descent with Gaussian noise (sigma = {self.sigma:g})"
-
 
 @dataclass
 class SGDStar(Estimator):
     """Idealized variance reduction: g = grad f_i(x) - grad f_i(x*)."""
 
-    name: str = field(default="sgd_star", init=False)
+    name = "sgd_star"
+    summary = "SGD shifted by the optimal gradients (not implementable in practice)"
+    formula = "A=L_max, B=0, C=0, D1=0, D2=0, rho=1"
 
     def draw(self, problem, rng, m):
         return (rng.integers(problem.n, size=m),)
@@ -261,9 +267,6 @@ class SGDStar(Estimator):
         rows = problem.component_grads(x) - constants.grads_at_star
         return rows.sum(axis=0) / problem.n, float(np.mean(np.sum(rows**2, axis=1))), None
 
-    def describe(self) -> str:
-        return "SGD shifted by the optimal gradients (not implementable in practice)"
-
 
 @dataclass
 class LSVRG(Estimator):
@@ -275,7 +278,9 @@ class LSVRG(Estimator):
     """
 
     p: float = 0.1
-    name: str = field(default="lsvrg", init=False)
+    name = "lsvrg"
+    summary = "loopless SVRG (refresh probability p)"
+    formula = "A=2*L_max, B=2, C=p*L_max, D1=0, D2=0, rho=p"
 
     def __post_init__(self) -> None:
         if not 0 < self.p <= 1:
@@ -314,9 +319,6 @@ class LSVRG(Estimator):
         sigma_next = (1.0 - self.p) * state.sigma_sq + self.p * shift_quality(grads, constants)
         return rows.sum(axis=0) / problem.n, float(np.mean(np.sum(rows**2, axis=1))), sigma_next
 
-    def describe(self) -> str:
-        return f"loopless SVRG (refresh probability p = {self.p:g})"
-
 
 @dataclass
 class CDGD(Estimator):
@@ -327,7 +329,9 @@ class CDGD(Estimator):
     """
 
     compressor: Compressor = field(default_factory=Identity)
-    name: str = field(default="cdgd", init=False)
+    name = "cdgd"
+    summary = "compressed distributed GD: workers average compressed gradients"
+    formula = "A=L+2*omega*L_max/n, B=0, C=0, D1=2*omega*sigma_star^2/n, D2=0, rho=1"
 
     def draw(self, problem, rng, m):
         return (self.compressor.draw(rng, (m, problem.n), problem.d),)
@@ -352,9 +356,6 @@ class CDGD(Estimator):
         full = grads.sum(axis=0) / problem.n
         return means.sum(axis=0) / problem.n, float(full @ full + mses.sum() / problem.n**2), None
 
-    def describe(self) -> str:
-        return f"compressed distributed gradient descent [{self.compressor.describe()}]"
-
 
 @dataclass
 class DIANA(Estimator):
@@ -366,7 +367,9 @@ class DIANA(Estimator):
 
     compressor: Compressor = field(default_factory=Identity)
     alpha: float | None = None
-    name: str = field(default="diana", init=False)
+    name = "diana"
+    summary = "DIANA: workers compress differences to learned shifts (alpha, auto = 1/(1 + omega))"
+    formula = "A=2*L+2*omega*L_max/n, B=2+2*omega/n, C=alpha*L_max, D1=0, D2=0, rho=alpha"
 
     def resolved_alpha(self, d: int) -> float:
         omega = self.compressor.omega(d)
@@ -374,6 +377,9 @@ class DIANA(Estimator):
         if not 0 < alpha <= 1.0 / (1.0 + omega):
             raise ValueError(f"alpha must be in (0, 1/(1+omega)] = (0, {1.0/(1.0+omega):g}], got {alpha}")
         return alpha
+
+    def resolved_fields(self, d: int) -> dict[str, float]:
+        return {"alpha": self.resolved_alpha(d)}
 
     def init_state(self, problem, constants, x0):
         h = np.zeros((problem.n, problem.d))
@@ -423,16 +429,14 @@ class DIANA(Estimator):
             float(np.mean(per_worker)),
         )
 
-    def describe(self) -> str:
-        alpha = "auto" if self.alpha is None else f"{self.alpha:g}"
-        return f"DIANA shifted compression [{self.compressor.describe()}, alpha = {alpha}]"
-
 
 @dataclass
 class RCD(Estimator):
     """Randomized coordinate descent: g = d * (grad f(x))_i e_i, i uniform."""
 
-    name: str = field(default="rcd", init=False)
+    name = "rcd"
+    summary = "randomized coordinate descent (uniform coordinates)"
+    formula = "A=d*L, B=0, C=0, D1=0, D2=0, rho=1"
 
     def draw(self, problem, rng, m):
         return (rng.integers(problem.d, size=m),)
@@ -452,28 +456,7 @@ class RCD(Estimator):
         g = problem.eval_full_grad(x)
         return g, float(problem.d * (g @ g)), None
 
-    def describe(self) -> str:
-        return "randomized coordinate descent (uniform coordinates)"
-
 
 ESTIMATORS: dict[str, type[Estimator]] = {
-    "gd": FullGradient,
-    "sgd": UniformSGD,
-    "noisy_gd": NoisyGradient,
-    "sgd_star": SGDStar,
-    "lsvrg": LSVRG,
-    "cdgd": CDGD,
-    "diana": DIANA,
-    "rcd": RCD,
-}
-
-CERTIFICATE_FORMULAS: dict[str, str] = {
-    "gd": "A=L, B=0, C=0, D1=0, D2=0, rho=1",
-    "sgd": "A=2*L_max, B=0, C=0, D1=2*sigma_star^2, D2=0, rho=1",
-    "noisy_gd": "A=L, B=0, C=0, D1=d*sigma^2, D2=0, rho=1",
-    "sgd_star": "A=L_max, B=0, C=0, D1=0, D2=0, rho=1",
-    "lsvrg": "A=2*L_max, B=2, C=p*L_max, D1=0, D2=0, rho=p",
-    "cdgd": "A=L+2*omega*L_max/n, B=0, C=0, D1=2*omega*sigma_star^2/n, D2=0, rho=1",
-    "diana": "A=2*L+2*omega*L_max/n, B=2+2*omega/n, C=alpha*L_max, D1=0, D2=0, rho=alpha",
-    "rcd": "A=d*L, B=0, C=0, D1=0, D2=0, rho=1",
+    cls.name: cls for cls in (FullGradient, UniformSGD, NoisyGradient, SGDStar, LSVRG, CDGD, DIANA, RCD)
 }

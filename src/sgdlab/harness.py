@@ -48,7 +48,9 @@ turn, and each point reduces it to a mean and a sum of squared deviations
 that merge into its running moments.  Groups hold GROUP_BYTES of points, so
 point j's numbers depend on neither num_points, the grouping nor
 REPLICA_BYTES.  The compressor check draws one mask per replica, in chunks
-of REPLICA_BYTES per (rows, probes, d) array, and applies it to every probe.
+of REPLICA_BYTES per (rows, probes, d) array, applies it to every probe and
+adds the replicas to its sums one by one, so its numbers do not depend on
+REPLICA_BYTES either.
 verify samples only Bernoulli compression above BERNOULLI_ENUM_LIMIT, where
 the oracle raises UnsupportedSizeError.
 
@@ -430,9 +432,7 @@ class Report:
         return all(c.passed for c in self.checks)
 
     def worst(self) -> Check | None:
-        if not self.checks:
-            return None
-        return min(self.checks, key=lambda c: c.margin - (-c.tol))
+        return min(self.checks, key=lambda c: c.margin + c.tol, default=None)
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
@@ -641,28 +641,33 @@ def _compression_moments(compressor, X: np.ndarray, rng, samples: int) -> tuple[
     random numbers): each chunk makes one compressor.draw(rng, (rows, 1), d)
     and applies it to the whole (probes, d) stack X, with rows such that a
     (rows, probes, d) float array holds REPLICA_BYTES (one row at least).
-    Each chunk adds to the sums of the values and of their squares, so the
-    sums depend on the chunk size anyway.  Column d is the squared error;
-    its sums are taken about the first chunk's mean, so that they do not
-    cancel.  Returns two (probes, d + 1) arrays.
+    The squared errors are centred on omega ||x||^2, their expectation, so
+    their sums do not cancel.  A chunk is written below a leading row of
+    running sums and folded in by one einsum along the replica axis, which
+    adds the rows in turn where a row holds more than one number (two probes
+    or more), so no bit depends on where the chunks start.  Returns two
+    (probes, d + 1) arrays; column d is the squared error.
     """
     probes, d = X.shape
     chunk = max(1, REPLICA_BYTES // (8 * probes * d))
-    total, total_sq, centre = np.zeros((probes, d + 1)), np.zeros((probes, d + 1)), None
+    centre = compressor.omega(d) * einsum("pd,pd->p", X, X)
+    rows = min(chunk, samples) + 1
+    # the errors and their squares, and the centred squared norms and their squares,
+    # each below a leading row (index 0 of axis 1) that holds their running sums
+    errors, norms = np.zeros((2, rows, probes, d)), np.zeros((2, rows, probes))
     for start in range(0, samples, chunk):
-        E = compressor.apply(X, compressor.draw(rng, (min(chunk, samples - start), 1), d))
-        E -= X
-        E2 = E * E
-        err = einsum("rpd->rp", E2)
-        if centre is None:
-            centre = err.mean(axis=0)
-        err -= centre
-        total[:, :d] += einsum("rpd->pd", E)
-        total_sq[:, :d] += einsum("rpd->pd", E2)
-        total[:, d] += einsum("rp->p", err)
-        total_sq[:, d] += einsum("rp,rp->p", err, err)
-    mean = total / samples
-    var = (total_sq - samples * mean**2) / (samples - 1)
+        r = min(chunk, samples - start) + 1
+        (E, E2), (sq, sq2) = errors[:, 1:r], norms[:, 1:r]
+        np.subtract(compressor.apply(X, compressor.draw(rng, (r - 1, 1), d)), X, out=E)
+        np.multiply(E, E, out=E2)
+        einsum("rpd->rp", E2, out=sq)
+        sq -= centre
+        np.multiply(sq, sq, out=sq2)
+        for buf in (errors, norms):
+            buf[:, 0] = einsum("kr...->k...", buf[:, :r])
+    (total, total_sq), (sq, sq2) = errors[:, 0], norms[:, 0]
+    mean = np.column_stack([total, sq]) / samples
+    var = (np.column_stack([total_sq, sq2]) - samples * mean**2) / (samples - 1)
     mean[:, d] += centre
     return mean, np.sqrt(np.maximum(var, 0.0) / samples)
 

@@ -156,6 +156,28 @@ def test_sampled_moments_do_not_depend_on_the_replica_chunk(
     assert moments(chunk * row_bytes) == moments(harness.REPLICA_BYTES)
 
 
+@BOUNDED
+@given(
+    d=st.sampled_from(DIMS),
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(2, 300),
+    chunk=st.integers(1, 9),
+    compressor=st.sampled_from(sorted(COMPRESSORS)),
+)
+@example(d=20, seed=0, samples=10**4, chunk=326, compressor="bernoulli")  # 2**18 bytes against 2**17 at d = 20
+def test_sampled_compressor_moments_do_not_depend_on_the_replica_chunk(d, seed, samples, chunk, compressor):
+    comp = COMPRESSORS[compressor]
+    X = np.random.default_rng(seed).standard_normal((harness.COMPRESSOR_PROBES, d))
+
+    def moments(budget):
+        with mock.patch.object(harness, "REPLICA_BYTES", budget):
+            mean, se = harness._compression_moments(comp, X, np.random.default_rng([seed, 1]), samples)
+        return mean.tobytes(), se.tobytes()
+
+    row_bytes = 8 * X.size  # one row of a (rows, probes, d) float array
+    assert moments(chunk * row_bytes) == moments(harness.REPLICA_BYTES)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @BOUNDED

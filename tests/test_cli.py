@@ -12,7 +12,9 @@ import pytest
 
 import sgdlab.cli as cli
 from sgdlab import harness
+from sgdlab.compressor import COMPRESSORS
 from sgdlab.config import parse_config
+from sgdlab.estimator import ESTIMATORS
 from sgdlab.harness import Check, Report, tail_mean
 from sgdlab.problem import compute_constants
 from sgdlab.theory import StepsizeError
@@ -454,6 +456,15 @@ def test_diverging_sweep_is_a_one_line_error_naming_the_gamma(tmp_path):
     assert "iteration 0 in trial 0 at gamma=0.025" in proc.stderr
 
 
+def test_list_prints_every_registered_kind_from_its_class(capsys):
+    assert cli.main(["list"]) == 0
+    out = capsys.readouterr().out
+    for name, cls in [*ESTIMATORS.items(), *COMPRESSORS.items()]:
+        assert cls.summary and f"  {name:10s} {cls.summary}\n" in out, name
+    for name, cls in ESTIMATORS.items():
+        assert cls.formula and f"certificate: {cls.formula}\n" in out, name
+
+
 def test_list_is_stable_and_names_formulas(capsys):
     assert cli.main(["list"]) == 0
     first = capsys.readouterr().out
@@ -690,3 +701,42 @@ def test_a_stepsize_whose_square_overflows_runs_where_its_factors_are_zero(tmp_p
     rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
     assert [row[3] for row in rows] == ["ok", "ok"]
     assert all(np.isfinite(float(row[1])) and float(row[2]) == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "problem, run",
+    [
+        # random_quadratic's (n, d, d) matrix stack: 7.11 PiB
+        ("family = quadratic\nn = 1000000000\nd = 1000", ""),
+        # run_monte_carlo's (gammas, trials, records) results
+        ("family = quadratic\nn = 4\nd = 3", "trials = 1000000000000000"),
+    ],
+    ids=["matrices", "trials"],
+)
+def test_a_config_too_large_for_memory_is_a_one_line_error(tmp_path, problem, run):
+    """Both arrays exceed any 64-bit address space, so the allocation fails without touching memory."""
+    cfg = write(tmp_path, f"[problem]\n{problem}\n[estimator]\nkind = gd\n[run]\n{run}\n")
+    proc = _run_cli_process("run", "--config", cfg, "--out", str(tmp_path), "--quiet")
+    _assert_one_line_error(proc, "error: out of memory: Unable to allocate")
+
+
+BOUND_FOUND_REASON = (
+    "verify_bound's statistical slack fails sound runs that sit on their bound (ROADMAP items 3 and 4)"
+)
+
+
+@pytest.mark.xfail(strict=True, reason=BOUND_FOUND_REASON)
+def test_verify_passes_noisy_gd_at_its_floor_with_one_trial(tmp_path, capsys):
+    """At d = 1 and gamma mu = 1, E[V_k] equals the bound's floor from k = 1 on, and one trial has no error estimate."""
+    conf = "[problem]\nfamily = quadratic\nn = 4\nd = 1\nseed = 0\n[estimator]\nkind = noisy_gd\nsigma = 0.1\n"
+    assert cli.main(["verify", "--config", write(tmp_path, conf), "--trials", "1", "--quiet"]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason=BOUND_FOUND_REASON)
+def test_verify_passes_gd_where_the_gradient_underflows(tmp_path, capsys):
+    """With A_i = 1e-200 I and x* = 0, the gradient underflows near x*, so the iterate stalls above the bound."""
+    conf = (
+        "[problem]\nfamily = quadratic\nn = 4\nd = 3\nseed = 1\neig_lo = 1e-200\neig_hi = 1e-200\n"
+        "shift_scale = 0.0\n[estimator]\nkind = gd\n"
+    )
+    assert cli.main(["verify", "--config", write(tmp_path, conf), "--quiet"]) == 0
