@@ -40,17 +40,16 @@ unchecked grad_i.
 
 Verifier replicas share their point as one row that is evaluated once, and
 run in chunks of REPLICA_BYTES per (rows, n, d) array, small enough to stay
-in cache.  They never hold all their draws, and every sampled check uses
-common random numbers.  The assumption check's replicas draw from one
-stream, default_rng([seed, 2, 2**34]), in blocks of DRAW_BYTES per (rows, n,
-d) array: each block is drawn once and serves every point of a group in
-turn, and each point reduces it to a mean and a sum of squared deviations
-that merge into its running moments.  Groups hold GROUP_BYTES of points, so
-point j's numbers depend on neither num_points, the grouping nor
-REPLICA_BYTES.  The compressor check draws one mask per replica, in chunks
-of REPLICA_BYTES per (rows, probes, d) array, applies it to every probe and
-adds the replicas to its sums one by one, so its numbers do not depend on
-REPLICA_BYTES either.
+in cache.  Both sampled checks have one shape: they use common random
+numbers, draw in blocks of DRAW_BYTES per array of the replicas' rows, fill
+a block's values chunk by chunk and fold the block into running moments
+with _merge.  The blocks fix the draws and the merge; the chunks fix
+nothing.  The assumption check's replicas draw from one stream,
+default_rng([seed, 2, 2**34]), in blocks per (rows, n, d) array, and each
+block serves every point of a group in turn.  Groups hold GROUP_BYTES of
+points, so point j's numbers depend on neither num_points nor the grouping.
+The compressor check draws one mask per replica, in blocks per (rows,
+probes, d) array, and applies it to every probe.
 verify samples only Bernoulli compression above BERNOULLI_ENUM_LIMIT, where
 the oracle raises UnsupportedSizeError.
 
@@ -252,14 +251,16 @@ def _roundoff(resolved: ResolvedExperiment) -> float:
 
     A gradient or shift evaluated near x* sums d products of size up to
     L_max ||x*|| and component gradients of total norm sqrt(n) sigma*, so it is
-    off by e = u sqrt(d) (L_max ||x*|| + sqrt(n) sigma*).  Shifts enter sqrt(V)
+    off by u (L_max ||x*|| + sqrt(n) sigma*) per coordinate; where it underflows,
+    rounding is absolute and adds up to the smallest subnormal s, so
+    e = sqrt(d) (u (L_max ||x*|| + sqrt(n) sigma*) + s).  Shifts enter sqrt(V)
     with weight w = gamma sqrt(M); rho / (1 - sqrt(1-r)) is evaluated as
     rho (1 + sqrt(1-r)) / r, which does not cancel.
     """
     problem, c, gamma = resolved.problem, resolved.constants, resolved.gamma
-    u = 0.5 * np.finfo(float).eps
+    u, s = 0.5 * np.finfo(float).eps, np.finfo(float).smallest_subnormal
     norm_star = float(np.linalg.norm(c.x_star))
-    e = u * math.sqrt(problem.d) * (c.L_max * norm_star + math.sqrt(problem.n * c.sigma_star_sq))
+    e = math.sqrt(problem.d) * (u * (c.L_max * norm_star + math.sqrt(problem.n * c.sigma_star_sq)) + s)
     w = gamma * math.sqrt(resolved.M)
     rho = u * norm_star + (gamma + w) * e
     rate = 1.0 - resolved.curve.contraction
@@ -444,6 +445,16 @@ class Report:
         return f"{status} {self.title} checks={len(self.checks)}{where}"
 
 
+def _merge(mean: np.ndarray, m2: np.ndarray, count: int, values: np.ndarray) -> None:
+    """Merge values (..., rows) into the running mean and m2 of count earlier ones; values become deviations."""
+    size = values.shape[-1]
+    block_mean = values.mean(axis=-1)
+    values -= block_mean[..., None]
+    delta = block_mean - mean
+    mean += delta * (size / (count + size))
+    m2 += einsum("...r,...r->...", values, values) + delta**2 * (count * size / (count + size))
+
+
 def _mc_moments(est, problem, constants, points, seed, samples):
     """Monte-Carlo E||g||^2 and E[sigma_next^2] at each (state, x) of points, from one step of replicas.
 
@@ -452,10 +463,9 @@ def _mc_moments(est, problem, constants, points, seed, samples):
     DRAW_BYTES per (rows, n, d) array, which fix it, and each block serves
     the points in turn.  A point's replicas start from (x, state), share the
     one row x, and run in chunks of REPLICA_BYTES (one row at least).  Each
-    point reduces each block to its mean and sum of squared deviations and
-    merges them into its running ones (Chan, Golub and LeVeque), so its
-    numbers depend on neither the other points nor the chunk size.  An
-    empty list of points draws nothing.
+    point merges each block into its running moments (_merge), so its numbers
+    depend on neither the other points nor the chunk size.  An empty list of
+    points draws nothing.
     Returns one ((mean, standard error), (mean, standard error)) per point.
     """
     if not points:
@@ -463,7 +473,7 @@ def _mc_moments(est, problem, constants, points, seed, samples):
     row_bytes = 8 * problem.n * problem.d
     block, chunk = max(1, DRAW_BYTES // row_bytes), max(1, REPLICA_BYTES // row_bytes)
     rng = np.random.default_rng([seed, VERIFY_STREAM, 2**34])
-    mean, m2 = np.zeros((len(points), 2)), np.zeros((len(points), 2))
+    mean, m2 = np.zeros((2, len(points), 2))
     values = np.empty((2, min(block, samples)))  # (||g||^2, sigma_next^2) of one point's block
     for first in range(0, samples, block):
         size = min(block, samples - first)
@@ -475,11 +485,7 @@ def _mc_moments(est, problem, constants, points, seed, samples):
                 G = est.step(problem, constants, x[None], batch, [a[lo:hi] for a in draws])
                 einsum("rd,rd->r", G, G, out=values[0, lo:hi])
                 values[1, lo:hi] = batch.sigma_sq
-            block_mean = values[:, :size].mean(axis=1)
-            dev = values[:, :size] - block_mean[:, None]
-            delta = block_mean - mean[p]
-            mean[p] += delta * (size / (first + size))
-            m2[p] += einsum("kr,kr->k", dev, dev) + delta**2 * (first * size / (first + size))
+            _merge(mean[p], m2[p], first, values[:, :size])
     se = np.sqrt(m2 / ((samples - 1) * samples))
     return [tuple((float(m), float(e)) for m, e in zip(*point)) for point in zip(mean, se)]
 
@@ -637,39 +643,27 @@ def verify_bound(stats: TrajectoryStats) -> Report:
 def _compression_moments(compressor, X: np.ndarray, rng, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample means and standard errors of (Q(x) - x, ||Q(x) - x||^2) for each row x of X.
 
-    Every row is compressed `samples` times with the same draws (common
-    random numbers): each chunk makes one compressor.draw(rng, (rows, 1), d)
-    and applies it to the whole (probes, d) stack X, with rows such that a
-    (rows, probes, d) float array holds REPLICA_BYTES (one row at least).
-    The squared errors are centred on omega ||x||^2, their expectation, so
-    their sums do not cancel.  A chunk is written below a leading row of
-    running sums and folded in by one einsum along the replica axis, which
-    adds the rows in turn where a row holds more than one number (two probes
-    or more), so no bit depends on where the chunks start.  Returns two
+    Streams like _mc_moments: every row is compressed `samples` times with
+    the same draws (common random numbers), one compressor.draw(rng, (rows,
+    1), d) per block of DRAW_BYTES per (rows, probes, d) array.  Returns two
     (probes, d + 1) arrays; column d is the squared error.
     """
     probes, d = X.shape
-    chunk = max(1, REPLICA_BYTES // (8 * probes * d))
-    centre = compressor.omega(d) * einsum("pd,pd->p", X, X)
-    rows = min(chunk, samples) + 1
-    # the errors and their squares, and the centred squared norms and their squares,
-    # each below a leading row (index 0 of axis 1) that holds their running sums
-    errors, norms = np.zeros((2, rows, probes, d)), np.zeros((2, rows, probes))
-    for start in range(0, samples, chunk):
-        r = min(chunk, samples - start) + 1
-        (E, E2), (sq, sq2) = errors[:, 1:r], norms[:, 1:r]
-        np.subtract(compressor.apply(X, compressor.draw(rng, (r - 1, 1), d)), X, out=E)
-        np.multiply(E, E, out=E2)
-        einsum("rpd->rp", E2, out=sq)
-        sq -= centre
-        np.multiply(sq, sq, out=sq2)
-        for buf in (errors, norms):
-            buf[:, 0] = einsum("kr...->k...", buf[:, :r])
-    (total, total_sq), (sq, sq2) = errors[:, 0], norms[:, 0]
-    mean = np.column_stack([total, sq]) / samples
-    var = (np.column_stack([total_sq, sq2]) - samples * mean**2) / (samples - 1)
-    mean[:, d] += centre
-    return mean, np.sqrt(np.maximum(var, 0.0) / samples)
+    row_bytes = 8 * probes * d
+    block, chunk = max(1, DRAW_BYTES // row_bytes), max(1, REPLICA_BYTES // row_bytes)
+    mean, m2 = np.zeros((2, probes, d + 1))
+    values = np.empty((probes, d + 1, min(block, samples)))
+    for first in range(0, samples, block):
+        size = min(block, samples - first)
+        masks = compressor.draw(rng, (size, 1), d)
+        for lo in range(0, size, chunk):
+            hi = min(size, lo + chunk)
+            E = compressor.apply(X, masks[lo:hi])
+            E -= X
+            values[:, :d, lo:hi] = E.transpose(1, 2, 0)
+            einsum("rpd,rpd->pr", E, E, out=values[:, d, lo:hi])
+        _merge(mean, m2, first, values[..., :size])
+    return mean, np.sqrt(m2 / ((samples - 1) * samples))
 
 
 def verify_compressor(compressor, d: int, seed: int = 0) -> Report:

@@ -235,7 +235,7 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     certificate ||grad f(x*)|| <= OPT_GRAD_RTOL max(1, ||x*||) < inf.
     """
     if isinstance(problem, QuadraticSum):
-        L_i = np.array([np.linalg.eigvalsh(problem.A[k])[-1] for k in range(problem.n)])
+        L_i = np.linalg.eigvalsh(problem.A)[:, -1]
         evals, evecs = np.linalg.eigh(problem._A_mean)
         mu = float(evals[0])
         L = float(evals[-1])

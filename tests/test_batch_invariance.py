@@ -163,11 +163,13 @@ def test_sampled_moments_do_not_depend_on_the_replica_chunk(
     samples=st.integers(2, 300),
     chunk=st.integers(1, 9),
     compressor=st.sampled_from(sorted(COMPRESSORS)),
+    probes=st.integers(1, harness.COMPRESSOR_PROBES),
 )
-@example(d=20, seed=0, samples=10**4, chunk=326, compressor="bernoulli")  # 2**18 bytes against 2**17 at d = 20
-def test_sampled_compressor_moments_do_not_depend_on_the_replica_chunk(d, seed, samples, chunk, compressor):
+@example(d=20, seed=0, samples=10**4, chunk=326, compressor="bernoulli", probes=5)  # 2**18 bytes against 2**17
+@example(d=20, seed=0, samples=10**4, chunk=51, compressor="rand_k", probes=1)  # about 2**13 bytes against 2**17
+def test_sampled_compressor_moments_do_not_depend_on_the_replica_chunk(d, seed, samples, chunk, compressor, probes):
     comp = COMPRESSORS[compressor]
-    X = np.random.default_rng(seed).standard_normal((harness.COMPRESSOR_PROBES, d))
+    X = np.random.default_rng(seed).standard_normal((probes, d))
 
     def moments(budget):
         with mock.patch.object(harness, "REPLICA_BYTES", budget):

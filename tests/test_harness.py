@@ -332,15 +332,15 @@ def test_sampled_compressor_check_catches_halved_omega():
 def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
     """Chunked compressions with merged moments give the margins of all 10^5 compressions at once.
 
-    Each chunk of REPLICA_BYTES per (rows, probes, d) array takes one draw,
+    Each block of DRAW_BYTES per (rows, probes, d) array takes one draw,
     concatenated here, that every probe shares.
     """
     samples, omega = 10**5, comp.omega(d)
-    chunk = harness.REPLICA_BYTES // (8 * harness.COMPRESSOR_PROBES * d)
+    block = harness.DRAW_BYTES // (8 * harness.COMPRESSOR_PROBES * d)
     report = verify_compressor(comp, d, seed=5)
     rng = np.random.default_rng([5, VERIFY_STREAM, 2**33])
     probes = [rng.standard_normal(d) for _ in range(4)] + [np.ones(d)]
-    sizes = [min(chunk, samples - s) for s in range(0, samples, chunk)]
+    sizes = [min(block, samples - s) for s in range(0, samples, block)]
     keep = np.concatenate([comp.draw(rng, (size, 1), d) for size in sizes])
     for idx, x in enumerate(probes):
         norm_sq = float(x @ x)
@@ -433,6 +433,36 @@ def test_sampled_stream_of_one_draw_array_does_not_depend_on_the_draw_block(est,
         return np.array(_mc_moments(est, HET, HET_CONST, [(state, x)], 50, samples))
 
     np.testing.assert_allclose(moments(7), moments(samples), rtol=1e-12, atol=0)
+
+
+def test_the_numpy_einsum_fallback_gives_the_same_bytes(monkeypatch):
+    """Under numpy < 2, problem, estimator and harness call np.einsum instead of its C routine.
+
+    A short trajectory of each problem family and both sampled checks must give the same bytes on that path.
+    """
+    from sgdlab import estimator, problem
+
+    logistic = random_logistic(8, 4, ridge=0.1, seed=72)
+    ests = [FullGradient(), LSVRG(p=0.2), DIANA(compressor=BernoulliScale(q=0.5))]
+    diana = DIANA(compressor=BernoulliScale(q=0.25))
+    x = HET_CONST.x_star + 0.5
+    point = (_perturbed_state(HET_CONST, diana.init_state(HET, HET_CONST, x), np.random.default_rng(73)), x)
+    X = np.random.default_rng(74).standard_normal((harness.COMPRESSOR_PROBES, 20))
+
+    def outputs():
+        runs = [
+            run_trajectory(ExperimentConfig(prob, est, steps=STREAM_CHUNK + 3, trials=3).resolve(), range(3))
+            for prob in (HET, logistic)
+            for est in ests
+        ]
+        moments = _mc_moments(diana, HET, HET_CONST, [point], 76, 500)
+        compression = harness._compression_moments(diana.compressor, X, np.random.default_rng(77), 2000)
+        return [a.tobytes() for run in runs for a in run], moments, [a.tobytes() for a in compression]
+
+    expected = outputs()
+    for module in (problem, estimator, harness):
+        monkeypatch.setattr(module, "einsum", np.einsum)
+    assert outputs() == expected
 
 
 def test_variance_reduction_signature():
