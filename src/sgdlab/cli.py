@@ -34,7 +34,6 @@ from .theory import StepsizeError
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, metavar="PATH", help="experiment config file")
-    p.add_argument("--out", default=".", metavar="DIR", help="output directory (default: .)")
     p.add_argument("--seed", type=int, default=None, metavar="U64", help="override base seed")
     p.add_argument("--trials", type=int, default=None, metavar="R", help="override trial count")
     p.add_argument("--quiet", action="store_true", help="suppress per-check output")
@@ -62,6 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--gammas", required=True, metavar="G1,G2,...", help="comma-separated stepsize grid"
     )
+    for p in (run_p, sweep_p):  # verify writes no file
+        p.add_argument("--out", default=".", metavar="DIR", help="output directory (default: .)")
 
     sub.add_parser("list", help="list estimators, compressors, and problem generators")
     return parser

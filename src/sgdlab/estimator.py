@@ -79,7 +79,9 @@ class EstimatorState:
     the LSVRG reference point w, or the learned DIANA shift h_i.  shift_mean
     is the mean of the shifts where the method reads it (LSVRG's grad f(w)),
     else None; stateless methods leave both None.  sigma_sq always equals the
-    shift quality (1/n) sum_i ||shifts[i] - grad f_i(x*)||^2.
+    shift quality (1/n) sum_i ||shifts[i] - grad f_i(x*)||^2.  step tracks it
+    because an LSVRG refresh updates it in O(hits n d), where forming it from
+    the shifts would cost O(R n d) at every recorded step.
 
     One state holds a float sigma_sq, shifts (n, d) and shift_mean (d); a
     batch holds the same fields with a leading axis of length R, and rows =

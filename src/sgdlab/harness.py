@@ -53,9 +53,7 @@ probes, d) array, and applies it to every probe.
 verify samples only Bernoulli compression above BERNOULLI_ENUM_LIMIT, where
 the oracle raises UnsupportedSizeError.
 
-Stream layout 3 is the layout above.  Layout 2 differed only in the sampled
-checks: each point drew its replicas from its own stream after its state,
-and the compressor check drew separate masks for each probe.
+Stream layout 3 is the layout above.
 """
 
 from __future__ import annotations
@@ -254,8 +252,8 @@ def _roundoff(resolved: ResolvedExperiment) -> float:
     off by u (L_max ||x*|| + sqrt(n) sigma*) per coordinate; where it underflows,
     rounding is absolute and adds up to the smallest subnormal s, so
     e = sqrt(d) (u (L_max ||x*|| + sqrt(n) sigma*) + s).  Shifts enter sqrt(V)
-    with weight w = gamma sqrt(M); rho / (1 - sqrt(1-r)) is evaluated as
-    rho (1 + sqrt(1-r)) / r, which does not cancel.
+    with weight w = gamma sqrt(M); 1 / (1 - sqrt(1-r)) is evaluated as
+    (1 + sqrt(1-r)) / r, which does not cancel, and capped at the horizon K.
     """
     problem, c, gamma = resolved.problem, resolved.constants, resolved.gamma
     u, s = 0.5 * np.finfo(float).eps, np.finfo(float).smallest_subnormal
@@ -263,11 +261,11 @@ def _roundoff(resolved: ResolvedExperiment) -> float:
     e = math.sqrt(problem.d) * (u * (c.L_max * norm_star + math.sqrt(problem.n * c.sigma_star_sq)) + s)
     w = gamma * math.sqrt(resolved.M)
     rho = u * norm_star + (gamma + w) * e
-    rate = 1.0 - resolved.curve.contraction
+    rate = resolved.curve.rate
     residual = float(np.linalg.norm(c.grads_at_star.sum(axis=0) / problem.n))
     offset = (residual + e) / c.mu
     delta = offset * (1.0 + w * c.L_max) + w * e
-    return rho * (1.0 + math.sqrt(1.0 - rate)) / rate + 2.0 * delta
+    return rho * min(resolved.steps, (1.0 + math.sqrt(1.0 - rate)) / rate) + 2.0 * delta
 
 
 def run_trajectory(
@@ -607,7 +605,9 @@ def verify_bound(stats: TrajectoryStats) -> Report:
     norm <= rho (the rounding u ||x*|| plus gamma times the round-off of the
     gradients and shifts), Minkowski's inequality gives s_{k+1} <= sqrt((1-r)
     s_k^2 + N) + rho for s_k = sqrt(E[V_k]), hence by induction s_k <=
-    sqrt(bound_k) + rho / (1 - sqrt(1-r)).  The stored x* is within delta =
+    sqrt(bound_k) + e_k with e_0 = 0, e_{k+1} = sqrt(1-r) e_k + rho, so e_k =
+    rho sum_{j<k} (1-r)^{j/2} <= rho min(k, 1 / (1 - sqrt(1-r))), which the
+    horizon K caps where r is tiny.  The stored x* is within delta =
     ||grad f(x*)|| / mu of the exact optimum (strong convexity), which adds
     2 delta, and the shifts at x* inherit it through L_max.
     """
@@ -618,25 +618,12 @@ def verify_bound(stats: TrajectoryStats) -> Report:
     worst = int(np.argmin(margins))
     for idx in range(len(stats.ks)):
         if idx == worst or margins[idx] < 0:
-            report.checks.append(
-                Check(
-                    name=f"bound[k={stats.ks[idx]}]",
-                    margin=float(margins[idx]),
-                    tol=0.0,
-                    exact=False,
-                    detail=f"mean_V={stats.mean_V[idx]:.6e} bound_V={stats.bound_V[idx]:.6e}",
-                )
-            )
-    if np.all(margins >= 0) and len(report.checks) <= 1:
-        report.checks.append(
-            Check(
-                name="bound[all recorded k]",
-                margin=float(margins[worst]),
-                tol=0.0,
-                exact=False,
-                detail=f"checked {len(stats.ks)} recorded iterations",
-            )
-        )
+            detail = f"mean_V={stats.mean_V[idx]:.6e} bound_V={stats.bound_V[idx]:.6e}"
+            check = Check(f"bound[k={stats.ks[idx]}]", float(margins[idx]), 0.0, exact=False, detail=detail)
+            report.checks.append(check)
+    if np.all(margins >= 0):
+        detail = f"checked {len(stats.ks)} recorded iterations"
+        report.checks.append(Check("bound[all recorded k]", float(margins[worst]), 0.0, exact=False, detail=detail))
     return report
 
 

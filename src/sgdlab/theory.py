@@ -72,13 +72,15 @@ def noise_term(cert: Certificate, gamma: float, M: float) -> float:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Evaluated bound: E[V_k] <= V0 * contraction^k + floor."""
+    """Evaluated bound: E[V_k] <= V0 * contraction^k + floor, with contraction = 1 - rate."""
 
-    gamma: float
-    M: float
-    contraction: float
+    rate: float
     floor: float
     V0: float
+
+    @property
+    def contraction(self) -> float:
+        return 1.0 - self.rate
 
     def bound_at(self, k) -> float | np.ndarray:
         """Bound value at iteration k (scalar or array of iterations)."""
@@ -91,7 +93,7 @@ class BoundCurve:
 
 
 def bound_curve(cert: Certificate, mu: float, gamma: float, M: float, V0: float) -> BoundCurve:
-    """Build the bound curve, validating the stepsize condition (a NaN stepsize is rejected)."""
+    """Build the bound curve; StepsizeError for an inadmissible or NaN stepsize, or a rate r that rounds to 0."""
     if not gamma > 0:
         raise StepsizeError(f"stepsize must be > 0, got {gamma}")
     if V0 < 0:
@@ -103,9 +105,11 @@ def bound_curve(cert: Certificate, mu: float, gamma: float, M: float, V0: float)
         rate = min(gamma * mu, cert.rho - cert.B / M)
     else:
         rate = gamma * mu
+    if not rate > 0:
+        raise StepsizeError(f"stepsize {gamma:g} gives the rate r = {rate:g}; the bound needs r > 0")
     noise = noise_term(cert, gamma, M)
     floor = noise / rate if noise > 0 else 0.0
-    return BoundCurve(gamma=gamma, M=M, contraction=1.0 - rate, floor=floor, V0=V0)
+    return BoundCurve(rate=rate, floor=floor, V0=V0)
 
 
 def recursion_oracle(

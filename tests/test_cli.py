@@ -669,8 +669,78 @@ def test_run_rejects_a_gamma_whose_square_overflows(tmp_path):
 )
 def test_a_noise_level_whose_square_overflows_is_a_one_line_error(tmp_path, command):
     cfg = write(tmp_path, OVERFLOW_BASE.replace("kind = sgd", "kind = noisy_gd\nsigma = 1e200"))
-    proc = _run_cli_process(command[0], "--config", cfg, "--out", str(tmp_path), "--quiet", *command[1:])
+    out = [] if command[0] == "verify" else ["--out", str(tmp_path)]
+    proc = _run_cli_process(command[0], "--config", cfg, *out, "--quiet", *command[1:])
     _assert_one_line_error(proc, "floating-point overflow")
+
+
+def test_verify_takes_no_out_flag(tmp_path):
+    """verify writes no file, so an output directory is a usage error."""
+    cfg = write(tmp_path, ISOTROPIC_GD)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "x"), "--quiet"])
+    assert exc.value.code == 2
+
+
+TINY_RATE_GD = """
+[problem]
+family = quadratic
+n = 4
+d = 3
+seed = 1
+
+[estimator]
+kind = gd
+
+[run]
+gamma = 1e-17
+steps = 50
+"""
+
+
+def test_a_rate_below_the_float_spacing_of_one_runs_clean(tmp_path):
+    """gamma mu < 2^-53, so 1 - rate rounds to 1: the round-off term must still be finite and warn nothing."""
+    cfg = write(tmp_path, TINY_RATE_GD)
+    for args in (["run", "--out", str(tmp_path)], ["sweep", "--out", str(tmp_path), "--gammas", "1e-17,1e-3"]):
+        proc = _run_cli_process(args[0], "--config", cfg, "--quiet", *args[1:])
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    proc = _run_cli_process("verify", "--config", cfg, "--quiet")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    (bound,) = [line for line in proc.stdout.splitlines() if "bound_domination" in line]
+    margin = float(bound.split("margin=")[1])
+    assert bound.startswith("PASS") and np.isfinite(margin) and margin > 0
+
+
+ZERO_RATE_GD = """
+[problem]
+family = quadratic
+n = 1
+d = 2
+seed = 1
+eig_lo = 0.2
+
+[estimator]
+kind = gd
+
+[run]
+gamma = 5e-324
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_rate_that_rounds_to_zero_is_a_one_line_error(tmp_path, command):
+    """gamma mu underflows to 0, and the bound needs a rate > 0."""
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    proc = _run_cli_process(command, "--config", write(tmp_path, ZERO_RATE_GD), *out, "--quiet")
+    _assert_one_line_error(proc, "the bound needs r > 0")
+
+
+def test_sweep_rejects_a_gamma_whose_rate_rounds_to_zero(tmp_path):
+    cfg = write(tmp_path, ZERO_RATE_GD)
+    proc = _run_cli_process("sweep", "--config", cfg, "--out", str(tmp_path), "--quiet", "--gammas", "5e-324,0.01")
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert "rejected: stepsize 4.94066e-324 gives the rate r = 0" in rows[1] and rows[2].endswith(",ok")
 
 
 def _tiny_curvature_gd(shift):

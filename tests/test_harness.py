@@ -690,7 +690,7 @@ def test_verify_bound_round_off_term_does_not_hide_a_too_fast_bound():
     resolved = cfg.resolve()
     assert verify_bound(run_monte_carlo(resolved)).passed
     true_rate = 1.0 - (1.0 - gamma * cons.mu) ** 2
-    resolved.curve = dataclasses.replace(resolved.curve, contraction=1.0 - 2.0 * true_rate)
+    resolved.curve = dataclasses.replace(resolved.curve, rate=2.0 * true_rate)
     stats = run_monte_carlo(resolved)
     assert stats.bound_V[-1] > 1e6 * stats.roundoff**2
     report = verify_bound(stats)

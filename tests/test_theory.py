@@ -209,6 +209,18 @@ def test_full_stepsize_edge_gives_zero_contraction():
     assert curve.bound_at(3) == 0.0
 
 
+def test_bound_curve_keeps_a_rate_that_one_minus_it_rounds_away():
+    # gamma mu = 1e-17 < 2^-53: the contraction rounds to 1, the stored rate does not
+    mu, gamma = 0.5, 2e-17
+    curve = bound_curve(gd_cert(1.0), mu, gamma, 0.0, 1.0)
+    assert curve.contraction == 1.0 and curve.rate == gamma * mu
+
+
+def test_a_rate_that_rounds_to_zero_is_rejected():
+    with pytest.raises(StepsizeError, match="needs r > 0"):
+        bound_curve(gd_cert(1.0), 0.2, 5e-324, 0.0, 1.0)
+
+
 def test_a_stepsize_whose_square_overflows_gives_floor_zero_where_d1_and_m_are_zero():
     # gamma = 1/mu = 1e200: gamma**2 overflows float64, but D1 + M D2 = 0 never multiplies it
     cert = gd_cert(1e-200)

@@ -4,10 +4,11 @@
     python3 tools/output_digest.py [--src DIR] > digests.txt
     python3 tools/output_digest.py --compare BASE.txt CHANGE.txt
 
-The tool drives the command-line interface only (`python -m sgdlab.cli` with
-PYTHONPATH=DIR; DIR defaults to the src/ beside this tool), so it runs against
-an older src/ as well.  Its first lines are the header: `stream_layout N` as
-the run manifests record it ([tool] stream) and `version V` ([tool] version).
+The tool drives the command-line interface only (`python -W error -m
+sgdlab.cli` with PYTHONPATH=DIR; DIR defaults to the src/ beside this tool),
+so it runs against an older src/ as well, and a warning on a digested path
+fails it.  Its first lines are the header: `stream_layout N` as the run
+manifests record it ([tool] stream) and `version V` ([tool] version).
 Then, for every estimator kind (cdgd and diana with a rand_k and a bernoulli
 compressor) on a generated quadratic and a generated logistic problem, one
 line `<kind>/<family> trajectory.csv <sha256>` and one `... manifest
@@ -72,9 +73,9 @@ def write_config(path: Path, problem: dict, estimator: dict) -> None:
 
 
 def sgdlab(src: Path, *args: str) -> str:
-    """Stdout of one sgdlab command, which must exit 0."""
+    """Stdout of one sgdlab command, which must exit 0 without a warning."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, "-m", "sgdlab.cli", *args]
+    cmd = [sys.executable, "-W", "error", "-m", "sgdlab.cli", *args]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"sgdlab {' '.join(args)} exited {proc.returncode}:\n{proc.stderr}")
@@ -112,8 +113,7 @@ def digests(src: Path) -> list[str]:
             case = work / f"verify-{name}"
             case.mkdir()
             write_config(case / "config.ini", problem, estimator)
-            stdout = sgdlab(src, "verify", "--config", str(case / "config.ini"), "--out", str(case),
-                            "--points", points)
+            stdout = sgdlab(src, "verify", "--config", str(case / "config.ini"), "--points", points)
             lines.append(f"verify/{name} stdout {hashlib.sha256(stdout.encode()).hexdigest()}")
     return lines
 
