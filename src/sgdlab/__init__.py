@@ -9,7 +9,7 @@ are dominated by the bound.
 
 __version__ = "0.1.0"
 
-from .compressor import COMPRESSORS, BernoulliScale, Compressor, Identity, RandK, UnsupportedSizeError
+from .compressor import COMPRESSORS, BernoulliScale, Compressor, Identity, RandK
 from .estimator import (
     CDGD,
     DIANA,
@@ -75,7 +75,6 @@ __all__ = [
     "StepsizeError",
     "TrajectoryStats",
     "UniformSGD",
-    "UnsupportedSizeError",
     "bound_curve",
     "compute_constants",
     "default_M",

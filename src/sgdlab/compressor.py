@@ -16,10 +16,10 @@ coordinate, scaled by s, with one probability p and drops it otherwise:
 keep_scale(d) states (p, s) from the compressor's definition.  exact_moments
 enumerates those two outcomes per coordinate in O(d), never calling draw or
 apply: it is the independent oracle for both properties, exact for every d.
-One policy remains: BernoulliScale.keep_scale raises UnsupportedSizeError
-above BERNOULLI_ENUM_LIMIT coordinates, and that error is the verifier's only
-signal to sample.  The benchmark's verify_diana workload pins sampled checks
-there until the benchmark judges the kernel against the oracle instead.
+Each kind also declares sampled_above, the dimension above which the
+verifier samples its checks instead of asking the oracle: never, except
+Bernoulli above 16 coordinates, where the benchmark's verify_diana workload
+pins sampled checks until the benchmark judges the kernel against the oracle.
 """
 
 from __future__ import annotations
@@ -29,23 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BERNOULLI_ENUM_LIMIT = 16
 DRAW_BUFFER_BYTES = 2**17  # uniforms of a Bernoulli draw, or rand_k index table, held at a time
-
-
-class UnsupportedSizeError(ValueError):
-    """Raised by BernoulliScale above BERNOULLI_ENUM_LIMIT, where verify samples instead."""
 
 
 class Compressor:
     """Base class for unbiased compressors.
 
     A subclass is its kind's one declaration: its COMPRESSORS key name, a one-line summary for
-    `sgdlab list`, and its dataclass fields, which are its config keys.
+    `sgdlab list`, sampled_above, and its dataclass fields, which are its config keys.
     """
 
     name = "base"
     summary = ""
+    sampled_above = math.inf
 
     def omega(self, d: int) -> float:
         """Certified variance parameter for dimension d."""
@@ -168,6 +164,7 @@ class BernoulliScale(Compressor):
     q: float
     name = "bernoulli"
     summary = "keep coordinates independently w.p. q scaled by 1/q (omega = 1/q - 1)"
+    sampled_above = 16
 
     def __post_init__(self) -> None:
         if not 0 < self.q <= 1:
@@ -191,9 +188,6 @@ class BernoulliScale(Compressor):
         return np.where(draws, X / self.q, 0.0)
 
     def keep_scale(self, d: int) -> tuple[float, float]:
-        """Raises UnsupportedSizeError above BERNOULLI_ENUM_LIMIT: the verifier samples there."""
-        if d > BERNOULLI_ENUM_LIMIT:
-            raise UnsupportedSizeError(f"d = {d} exceeds {BERNOULLI_ENUM_LIMIT} coordinates")
         return self.q, 1.0 / self.q
 
 

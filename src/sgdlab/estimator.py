@@ -32,9 +32,8 @@ exact_moments(problem, constants, state, x) is the exact oracle: it returns
 (E[g], E||g||^2, E[sigma_{k+1}^2]) at one state in closed form or by
 enumerating the finite outcome space, with None for sigma_next where the kind
 has no sigma.  Compressed kinds sum their compressor's per-coordinate moments,
-so they are exact for every d; the compressor's UnsupportedSizeError (Bernoulli
-above BERNOULLI_ENUM_LIMIT) passes through, and the assumption verifier then
-samples instead.  The oracle never calls draw or step.
+so they are exact for every d; the assumption verifier still samples above
+the compressor's sampled_above.  The oracle never calls draw or step.
 """
 
 from __future__ import annotations

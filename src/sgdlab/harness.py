@@ -46,12 +46,11 @@ a block's values chunk by chunk and fold the block into running moments
 with _merge.  The blocks fix the draws and the merge; the chunks fix
 nothing.  The assumption check's replicas draw from one stream,
 default_rng([seed, 2, 2**34]), in blocks per (rows, n, d) array, and each
-block serves every point of a group in turn.  Groups hold GROUP_BYTES of
-points, so point j's numbers depend on neither num_points nor the grouping.
-The compressor check draws one mask per replica, in blocks per (rows,
-probes, d) array, and applies it to every probe.
-verify samples only Bernoulli compression above BERNOULLI_ENUM_LIMIT, where
-the oracle raises UnsupportedSizeError.
+block serves every point of a group in turn.  A group holds DRAW_BYTES of
+points, as (n, d) arrays, so point j's numbers depend on neither num_points
+nor the grouping.  The compressor check draws one mask per replica, in
+blocks per (rows, probes, d) array, and applies it to every probe.  Both
+checks sample only above the compressor's sampled_above (Bernoulli: 16).
 
 Stream layout 3 is the layout above.
 """
@@ -65,7 +64,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .compressor import UnsupportedSizeError
+from .compressor import Compressor
 from .estimator import Certificate, Estimator, EstimatorState
 from .problem import FiniteSumProblem, ProblemConstants, compute_constants, einsum
 from .theory import BoundCurve, bound_curve, default_M, lyapunov_value, max_stepsize
@@ -78,9 +77,10 @@ STREAM_CHUNK = 256  # steps a trial draws at a time
 
 BLOCK_BYTES = 16 * 2**20  # memory budget of one trial block
 ROW_TEMPS = 6  # (n, d) float arrays one row of a step holds: state, gradients, temporaries
+# Two budgets (2 CPUs): one for both of 128 KiB slowed the d = 20 compressor check 114 -> 125 ms; of
+# 512 KiB, verify_assumption at 100 points (n = 10, d = 20) 2.6 -> 4.5 s; of 1 MiB, 2 points 74 -> 114 ms.
 REPLICA_BYTES = 2**17  # size of one (rows, n, d) float array of a verifier replica chunk
-DRAW_BYTES = 2**20  # replicas a sampled check draws at a time, as (rows, n, d) float bytes; fixes its stream
-GROUP_BYTES = 2**20  # sampled points, as (n, d) float bytes each, that share one pass over the replica stream
+DRAW_BYTES = 2**20  # sampled replicas drawn at a time, fixing the stream, and points sharing them, as (n, d) floats each
 
 BOUND_SLACK_REL = 0.1  # relative slack of verify_bound on the bound
 BOUND_SLACK_STAT = 4.0  # standard errors of the mean V that verify_bound allows
@@ -525,10 +525,10 @@ def verify_assumption(
     perturbations: iterates at log-spread radii around x*, points along the
     warm-up line (including reflections), and shift tables perturbed around
     the optimal shifts.  The left-hand sides come from the estimator's exact
-    oracle (exact_moments); where it raises UnsupportedSizeError (Bernoulli
-    compression above BERNOULLI_ENUM_LIMIT), they come from samples_per_point
+    oracle (exact_moments); above its compressor's sampled_above (Bernoulli
+    compression above 16 coordinates) they come from samples_per_point
     Monte-Carlo replicas that both inequalities share, and that every point
-    of a group of GROUP_BYTES draws in common (see _mc_moments).  Exact
+    of a group of DRAW_BYTES draws in common (see _mc_moments).  Exact
     margins must be >= -1e-10 * RHS, sampled margins >= -4 standard errors.
 
     Passing a certificate overrides the estimator's own; this is how mutation
@@ -536,14 +536,15 @@ def verify_assumption(
     """
     if num_points < 1:
         raise ValueError(f"num_points must be >= 1, got {num_points}")
-    cert = certificate if certificate is not None else estimator.certificate(problem, constants)
+    own_cert = estimator.certificate(problem, constants)
+    cert = own_cert if certificate is None else certificate
+    sampled = problem.d > getattr(estimator, "compressor", Compressor).sampled_above
     scale = max(1.0, float(np.linalg.norm(constants.x_star)))
 
     # short warm-up run caching (iterate, state) pairs
     warm_rng = np.random.default_rng([seed, VERIFY_STREAM, 2**32])
     u = warm_rng.standard_normal(problem.d)
     x = constants.x_star + scale * u / np.linalg.norm(u)
-    own_cert = estimator.certificate(problem, constants)
     gamma = 0.5 * max_stepsize(own_cert, constants.mu, default_M(own_cert))
     state = estimator.init_state(problem, constants, x)
     warm: list[tuple[np.ndarray, EstimatorState]] = [(x.copy(), state.copy())]
@@ -574,14 +575,13 @@ def verify_assumption(
         sides = [("second_moment", 2.0 * cert.A * gap + cert.B * sp.sigma_sq + cert.D1)]
         if cert.has_sigma:
             sides.append(("sigma_recursion", (1.0 - cert.rho) * sp.sigma_sq + 2.0 * cert.C * gap + cert.D2))
-        try:
-            _, second, sigma_next = estimator.exact_moments(problem, constants, sp, xp)
-            return xp, sp, sides, [(second, 0.0), (sigma_next, 0.0)]
-        except UnsupportedSizeError:
+        if sampled:
             return xp, sp, sides, None
+        _, second, sigma_next = estimator.exact_moments(problem, constants, sp, xp)
+        return xp, sp, sides, [(second, 0.0), (sigma_next, 0.0)]
 
     report = Report(title=f"assumption[{estimator.name}]")
-    group = max(1, GROUP_BYTES // (8 * problem.n * problem.d))
+    group = max(1, DRAW_BYTES // (8 * problem.n * problem.d))
     for start in range(0, num_points, group):
         js = range(start, min(num_points, start + group))
         points = [explore(j) for j in js]
@@ -657,22 +657,20 @@ def verify_compressor(compressor, d: int, seed: int = 0) -> Report:
     """Check unbiasedness and the omega variance certificate on COMPRESSOR_PROBES probe vectors.
 
     Exact from the compressor's per-coordinate moments (exact_moments) up to
-    a relative 1e-12.  Where exact_moments raises UnsupportedSizeError
-    (Bernoulli above BERNOULLI_ENUM_LIMIT, only the policy for where this check
-    samples), the probes are compressed 10^5 times with the same draws and a
-    4-standard-error slack; the sampled variance check also allows the exact
-    check's round-off.
+    a relative 1e-12.  Above the compressor's sampled_above (Bernoulli above
+    16 coordinates, only the policy for where this check samples), the probes
+    are compressed 10^5 times with the same draws and a 4-standard-error
+    slack; the sampled variance check also allows the exact check's round-off.
     """
     rng = np.random.default_rng([seed, VERIFY_STREAM, 2**33])
     omega = compressor.omega(d)
     report = Report(title=f"compressor[{compressor.name}]")
     probes = np.array([rng.standard_normal(d) for _ in range(COMPRESSOR_PROBES - 1)] + [np.ones(d)])
-    try:
+    exact = d <= compressor.sampled_above
+    if exact:
         mean, mse = compressor.exact_moments(probes)
-        exact = True
-    except UnsupportedSizeError:
+    else:
         mean, se = _compression_moments(compressor, probes, rng, 10**5)
-        exact = False
     for idx, x in enumerate(probes):
         norm_sq = float(x @ x)
         if exact:

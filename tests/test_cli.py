@@ -812,3 +812,59 @@ def test_verify_passes_gd_where_the_gradient_underflows(tmp_path, capsys):
     path = write(tmp_path, conf)
     for seed in range(4):
         assert cli.main(["verify", "--config", path, "--seed", str(seed), "--quiet"]) == 0
+
+
+@pytest.mark.xfail(strict=True, reason="_roundoff bounds a step's rounding by u ||x*||, not u ||x_k|| (ROADMAP item 3)")
+def test_verify_passes_gd_where_gamma_mu_rounds_to_one(tmp_path, capsys):
+    """gamma = 1/L = 1e200 makes gamma mu round to 1, so bound_V = 0 from k = 1 on, but the first step
+    from the unit-radius start leaves V = 1.3e-32, about (u ||x0||)^2."""
+    conf = (
+        "[problem]\nfamily = quadratic\nn = 4\nd = 3\nseed = 3\neig_lo = 1e-200\neig_hi = 1e-200\n"
+        "shift_scale = 0.0\n[estimator]\nkind = gd\n"
+    )
+    assert cli.main(["verify", "--config", write(tmp_path, conf), "--quiet"]) == 0
+
+
+def _verify_modes(tmp_path, capsys, kind, compressor, d):
+    """Modes of the compressor and assumption check lines of `verify` at dimension d; compressor is a config line."""
+    conf = (
+        f"[problem]\nfamily = quadratic\nn = 4\nd = {d}\nseed = 1\n"
+        f"[estimator]\nkind = {kind}\n{compressor}\n[run]\nsteps = 50\n"
+    )
+    assert cli.main(["verify", "--config", write(tmp_path, conf), "--points", "2"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if " tol=" in line and " bound[" not in line]
+    assert {line.split()[1].split("[")[0] for line in lines} >= {"unbiased", "variance", "second_moment"}
+    return {line.rsplit("[", 1)[1].rstrip("]") for line in lines}
+
+
+@pytest.mark.parametrize("kind", ["cdgd", "diana"])
+@pytest.mark.parametrize("d,mode", [(16, "exact"), (17, "sampled")])
+def test_verify_samples_bernoulli_only_above_its_sampled_above(tmp_path, capsys, kind, d, mode):
+    """BernoulliScale.sampled_above = 16 is where both checks switch from the oracle to sampling."""
+    assert _verify_modes(tmp_path, capsys, kind, "compressor = bernoulli\nq = 0.25", d) == {mode}
+
+
+def test_verify_checks_rand_k_exactly_at_any_d(tmp_path, capsys):
+    assert _verify_modes(tmp_path, capsys, "diana", "compressor = rand_k\nk = 5", 20) == {"exact"}
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        16,
+        pytest.param(
+            20,
+            marks=pytest.mark.xfail(
+                strict=True, reason="10^5 sampled draws may never keep a coordinate at q = 1e-5 (ROADMAP item 2)"
+            ),
+        ),
+    ],
+)
+def test_verify_passes_a_bernoulli_compressor_that_rarely_keeps(tmp_path, capsys, d):
+    """At q = 1e-5 a coordinate is never kept in 10^5 draws with probability (1 - q)^(10^5) = 0.37; its
+    error is then constant, so its standard error, and the sampled check's slack, is 0."""
+    conf = (
+        f"[problem]\nfamily = quadratic\nn = 4\nd = {d}\nseed = 0\n"
+        "[estimator]\nkind = cdgd\ncompressor = bernoulli\nq = 1e-5\n[run]\nsteps = 50\ntrials = 4\n"
+    )
+    assert cli.main(["verify", "--config", write(tmp_path, conf), "--points", "2", "--quiet"]) == 0

@@ -15,7 +15,6 @@ from sgdlab.compressor import (
     Compressor,
     Identity,
     RandK,
-    UnsupportedSizeError,
 )
 from sgdlab.harness import STREAM_CHUNK
 
@@ -204,12 +203,6 @@ def test_configuration_errors():
         BernoulliScale(q=1.5)
 
 
-def test_enumeration_size_limits():
-    """Bernoulli's limit is the one policy limit left, where the verifier samples."""
-    with pytest.raises(UnsupportedSizeError):
-        BernoulliScale(q=0.5).exact_moments(np.zeros(17))
-
-
 def _reference_moments(comp, x):
     """(E[Q(x)], E||Q(x) - x||^2) by a Python loop over every outcome, one vector at a time."""
     d = x.size
@@ -261,6 +254,18 @@ def test_exact_moments_match_a_per_outcome_loop(case):
         mean, mse = comp.exact_moments(x)  # row i of the stacked call, bit for bit
         np.testing.assert_array_equal(mean, means[i])
         assert mse == mses[i]
+
+
+def test_bernoulli_oracle_answers_above_the_sampling_policy():
+    """Above sampled_above the verifier samples, but the oracle still answers: 2^17 keep-masks at d = 17."""
+    comp = BernoulliScale(q=0.3)
+    x = np.random.default_rng(17).standard_normal(17)
+    assert x.size > comp.sampled_above
+    mean, mse = comp.exact_moments(x)
+    ref_mean, ref_mse = _reference_moments(comp, x)
+    # the reference adds 2^17 terms one at a time, so its own round-off reaches about 2^17 u = 1.5e-11
+    np.testing.assert_allclose(mean, ref_mean, rtol=1e-10, atol=0)
+    assert mse == pytest.approx(ref_mse, rel=1e-10, abs=0)
 
 
 def test_exact_moments_memory_is_linear_in_d():

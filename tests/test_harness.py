@@ -277,18 +277,18 @@ def test_a_sampled_point_does_not_depend_on_the_other_points_the_groups_or_the_c
     cons = compute_constants(prob)
     est = DIANA(compressor=BernoulliScale(q=0.25))  # 2^17 keep-masks: sampled
     row_bytes = 8 * prob.n * prob.d
-    monkeypatch.setattr(harness, "DRAW_BYTES", 64 * row_bytes)  # 500 replicas in 8 blocks
+    monkeypatch.setattr(harness, "DRAW_BYTES", 8 * row_bytes)  # blocks of 8 replicas, groups of 8 points
+    monkeypatch.setattr(harness, "REPLICA_BYTES", 3 * row_bytes)  # chunks of 3 rows, which do not divide a block
 
     def lines(num_points):
         return verify_assumption(prob, cons, est, num_points=num_points, samples_per_point=500, seed=65).lines()
 
-    three = lines(3)
-    assert len(three) == 6 and all(line.endswith("[sampled]") for line in three)
-    assert lines(1) == three[:2]
-    monkeypatch.setattr(harness, "REPLICA_BYTES", 3 * row_bytes)  # chunks of 3 rows, which do not divide a block
-    assert lines(3) == three
-    monkeypatch.setattr(harness, "GROUP_BYTES", 2 * row_bytes)  # groups of points 0-1 and 2
-    assert lines(3) == three
+    ten = lines(10)  # groups of points 0-7 and 8-9
+    assert len(ten) == 20 and all(line.endswith("[sampled]") for line in ten)
+    assert lines(8) == ten[:16]
+    assert lines(1) == ten[:2]
+    monkeypatch.setattr(harness, "REPLICA_BYTES", 8 * row_bytes)  # one chunk per block
+    assert lines(10) == ten
 
 
 def test_sampled_assumption_check_catches_corrupted_certificates():
