@@ -36,6 +36,7 @@ from .harness import (
     verify_compressor,
 )
 from .problem import (
+    PROBLEMS,
     FiniteSumProblem,
     LogisticSum,
     ProblemConstants,
@@ -65,6 +66,7 @@ __all__ = [
     "LSVRG",
     "LogisticSum",
     "NoisyGradient",
+    "PROBLEMS",
     "ProblemConstants",
     "ProblemError",
     "QuadraticSum",

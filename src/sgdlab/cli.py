@@ -29,6 +29,7 @@ from .harness import (
     verify_bound,
     verify_compressor,
 )
+from .problem import PROBLEMS
 from .theory import StepsizeError
 
 
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (run_p, sweep_p):  # verify writes no file
         p.add_argument("--out", default=".", metavar="DIR", help="output directory (default: .)")
 
-    sub.add_parser("list", help="list estimators, compressors, and problem generators")
+    sub.add_parser("list", help="list estimators, compressors, and problem families")
     return parser
 
 
@@ -178,10 +179,9 @@ def _cmd_list(args) -> int:
     print("compressors:")
     for name, cls in sorted(COMPRESSORS.items()):
         print(f"  {name:10s} {cls.summary}")
-    print("problem generators:")
-    print("  quadratic  random rotations of a prescribed spectrum; offsets set the")
-    print("             heterogeneity (shift_scale = 0 gives a shared minimizer)")
-    print("  logistic   random features with planted labels and an L2 ridge")
+    print("problem families:")
+    for name, cls in sorted(PROBLEMS.items()):
+        print(f"  {name:10s} {cls.summary}")
     return 0
 
 

@@ -2,9 +2,10 @@
 
 Configs are flat INI documents with three sections:
 
-    [problem]    family = quadratic | logistic, then either generator
-                 parameters (n, d, seed, ...) or explicit JSON arrays
-                 (matrices/offsets, features/labels)
+    [problem]    family = a registered problem family (`sgdlab list`),
+                 then either one key per parameter of its generator (n, d,
+                 seed, ...) or one per field of its class, the explicit JSON
+                 arrays (see build_problem)
     [estimator]  kind = a registered estimator (`sgdlab list`), plus one key
                  per field of its class (see build_estimator)
     [run]        gamma, lyapunov_m, steps, trials, seed, record_every,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -31,13 +33,7 @@ import numpy as np
 from .compressor import COMPRESSORS
 from .estimator import ESTIMATORS
 from .harness import STREAM_LAYOUT, ExperimentConfig, ResolvedExperiment
-from .problem import (
-    FiniteSumProblem,
-    LogisticSum,
-    QuadraticSum,
-    random_logistic,
-    random_quadratic,
-)
+from .problem import PROBLEMS, FiniteSumProblem
 
 FLOAT_FMT = "%.17g"
 IGNORED_SECTIONS = ("certificate", "tool")
@@ -49,6 +45,9 @@ class ConfigError(ValueError):
 
 def _fmt(value: float) -> str:
     return FLOAT_FMT % value
+
+
+_REQUIRED = inspect.Parameter.empty  # the default of a required key, as of a parameter without one
 
 
 class _Section:
@@ -100,9 +99,9 @@ class _Section:
             raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}")
         return value
 
-    def get_array(self, key: str) -> np.ndarray:
-        """A required JSON array of numbers with a regular (not ragged) shape, as floats."""
-        v = self.get_str(key, _REQUIRED)
+    def get_array(self, key: str, default=_REQUIRED) -> np.ndarray:
+        """A JSON array of numbers with a regular (not ragged) shape, as floats."""
+        v = self.get_str(key, default)
         try:
             return np.asarray(json.loads(v), dtype=float)
         except json.JSONDecodeError as exc:
@@ -116,42 +115,38 @@ class _Section:
             raise ConfigError(f"[{self.name}] has unknown keys: {', '.join(sorted(unknown))}")
 
 
-_REQUIRED = object()
+def _value(section: _Section, annotation: str, key: str, default=_REQUIRED):
+    """The value of key read by a (string) annotation: a float, an int or a JSON array."""
+    read = {"float": section.get_float, "int": section.get_int, "np.ndarray": section.get_array}[annotation]
+    return read(key, default)
+
+
+def _lookup(registry: dict[str, type], what: str, name: str, section: _Section) -> type:
+    if name not in registry:
+        raise ConfigError(f"[{section.name}] unknown {what} {name!r}; available: {', '.join(sorted(registry))}")
+    return registry[name]
+
+
+def _make(section: _Section, make, values: dict):
+    """make(**values), a ValueError of which (a ProblemError, say) is a one-line ConfigError of the section."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from None
 
 
 def build_problem(section: _Section) -> FiniteSumProblem:
-    family = section.get_str("family", _REQUIRED)
-    if family == "quadratic":
-        if section.has("matrices") or section.has("offsets"):
-            A = section.get_array("matrices")
-            b = section.get_array("offsets")
-            section.reject_unknown()
-            return QuadraticSum(A=A, b=b)
-        n = section.get_int("n", _REQUIRED)
-        d = section.get_int("d", _REQUIRED)
-        seed = section.get_seed()
-        eig_lo = section.get_float("eig_lo", 1.0)
-        eig_hi = section.get_float("eig_hi", 3.0)
-        shift_scale = section.get_float("shift_scale", 1.0)
-        section.reject_unknown()
-        return random_quadratic(
-            n, d, eig_lo=eig_lo, eig_hi=eig_hi, shift_scale=shift_scale, seed=seed
-        )
-    if family == "logistic":
-        if section.has("features") or section.has("labels"):
-            feats = section.get_array("features")
-            labels = section.get_array("labels")
-            ridge = section.get_float("ridge", _REQUIRED)
-            section.reject_unknown()
-            return LogisticSum(features=feats, labels=labels, ridge=ridge)
-        n = section.get_int("n", _REQUIRED)
-        d = section.get_int("d", _REQUIRED)
-        seed = section.get_seed()
-        ridge = section.get_float("ridge", 0.1)
-        feature_scale = section.get_float("feature_scale", 1.0)
-        section.reject_unknown()
-        return random_logistic(n, d, ridge=ridge, feature_scale=feature_scale, seed=seed)
-    raise ConfigError(f"[problem] family must be 'quadratic' or 'logistic', got {family!r}")
+    """The section's PROBLEMS family, from one key per dataclass field (its metadata "key", else its name)
+    where the section names an array field's key, else from one key per parameter of the class's generate."""
+    cls = _lookup(PROBLEMS, "family", section.get_str("family", _REQUIRED), section)
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    if any(section.has(key) for key, f in fields.items() if f.type == "np.ndarray"):
+        make, values = cls, {f.name: _value(section, f.type, key) for key, f in fields.items()}
+    else:
+        make, params = cls.generate, inspect.signature(cls.generate).parameters.values()
+        values = {p.name: _value(section, p.annotation, p.name, p.default) for p in params}
+    section.reject_unknown()
+    return _make(section, make, values)
 
 
 def _build(registry: dict[str, type], what: str, kind: str, section: _Section):
@@ -160,10 +155,8 @@ def _build(registry: dict[str, type], what: str, kind: str, section: _Section):
     A float or int field is a required number, float | None a number or 'auto' (None, the default),
     and a Compressor field names a compressor (default: the field's), whose fields are keys here too.
     """
-    if kind not in registry:
-        raise ConfigError(f"[{section.name}] unknown {what} {kind!r}; available: {', '.join(sorted(registry))}")
-    values = {}
-    for f in dataclasses.fields(registry[kind]):
+    cls, values = _lookup(registry, what, kind, section), {}
+    for f in dataclasses.fields(cls):
         if f.type == "Compressor":
             compressor = section.get_str(f.name, f.default_factory.name)
             values[f.name] = _build(COMPRESSORS, "compressor", compressor, section)
@@ -171,11 +164,8 @@ def _build(registry: dict[str, type], what: str, kind: str, section: _Section):
             value = section.get_float(f.name, "auto", auto=True)
             values[f.name] = None if value == "auto" else value
         else:
-            values[f.name] = {"float": section.get_float, "int": section.get_int}[f.type](f.name, _REQUIRED)
-    try:
-        return registry[kind](**values)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
+            values[f.name] = _value(section, f.type, f.name)
+    return _make(section, cls, values)
 
 
 def build_estimator(section: _Section):

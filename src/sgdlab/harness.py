@@ -162,7 +162,7 @@ class ExperimentConfig:
 
         if self.x0_mode == "min_curvature":
             if constants.min_curv_dir is None:
-                raise ValueError("x0_mode='min_curvature' is only available for quadratic problems")
+                raise ValueError(f"x0_mode='min_curvature' is not available for {self.problem.family} problems")
             u = constants.min_curv_dir
         else:
             raw = np.random.default_rng([self.base_seed, INIT_STREAM]).standard_normal(self.problem.d)
@@ -241,31 +241,35 @@ class TrajectoryStats:
     trials: int
     gamma: float
     M: float
-    roundoff: float  # float64 resolution of sqrt(V) near x*, see verify_bound
+    roundoff: float  # float64 resolution of sqrt(V) along the run, see verify_bound
 
 
 def _roundoff(resolved: ResolvedExperiment) -> float:
     """Absolute term c of verify_bound, with unit round-off u.
 
-    A gradient or shift evaluated near x* sums d products of size up to
-    L_max ||x*|| and component gradients of total norm sqrt(n) sigma*, so it is
-    off by u (L_max ||x*|| + sqrt(n) sigma*) per coordinate; where it underflows,
-    rounding is absolute and adds up to the smallest subnormal s, so
-    e = sqrt(d) (u (L_max ||x*|| + sqrt(n) sigma*) + s).  Shifts enter sqrt(V)
-    with weight w = gamma sqrt(M); 1 / (1 - sqrt(1-r)) is evaluated as
-    (1 + sqrt(1-r)) / r, which does not cancel, and capped at the horizon K.
+    A gradient or shift evaluated at a point of norm X sums d products of size
+    up to L_max X and component gradients of total norm sqrt(n) sigma*, so it
+    is off by u (L_max X + sqrt(n) sigma*) per coordinate; where it
+    underflows, rounding is absolute and adds up to the smallest subnormal s,
+    so e(X) = sqrt(d) (u (L_max X + sqrt(n) sigma*) + s).  1 / (1 - sqrt(1-r))
+    is evaluated as (1 + sqrt(1-r)) / r, which does not cancel.
     """
-    problem, c, gamma = resolved.problem, resolved.constants, resolved.gamma
+    problem, c, gamma, curve = resolved.problem, resolved.constants, resolved.gamma, resolved.curve
     u, s = 0.5 * np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    root_d, w = math.sqrt(problem.d), gamma * math.sqrt(resolved.M)
+
+    def e(X: float) -> float:
+        return root_d * (u * (c.L_max * X + math.sqrt(problem.n * c.sigma_star_sq)) + s)
+
     norm_star = float(np.linalg.norm(c.x_star))
-    e = math.sqrt(problem.d) * (u * (c.L_max * norm_star + math.sqrt(problem.n * c.sigma_star_sq)) + s)
-    w = gamma * math.sqrt(resolved.M)
-    rho = u * norm_star + (gamma + w) * e
-    rate = resolved.curve.rate
+    X = norm_star + math.hypot(math.sqrt(curve.V0), math.sqrt(curve.floor))  # ||x*|| + sqrt(V0 + floor)
+    rho = u * X + (gamma + w) * e(X)
+    beta = u * (1.0 + (gamma + w) * root_d * c.L_max)
+    G = min(resolved.steps, (1.0 + math.sqrt(1.0 - curve.rate)) / curve.rate)
     residual = float(np.linalg.norm(c.grads_at_star.sum(axis=0) / problem.n))
-    offset = (residual + e) / c.mu
-    delta = offset * (1.0 + w * c.L_max) + w * e
-    return rho * min(resolved.steps, (1.0 + math.sqrt(1.0 - rate)) / rate) + 2.0 * delta
+    offset = (residual + e(norm_star)) / c.mu
+    delta = offset * (1.0 + w * c.L_max) + w * e(norm_star)
+    return (rho * G / (1.0 - beta * G) if beta * G < 1.0 else math.inf) + 2.0 * delta
 
 
 def run_trajectory(
@@ -600,16 +604,25 @@ def verify_bound(stats: TrajectoryStats) -> Report:
     """Check mean_V(k) <= (sqrt(bound_V(k) (1 + BOUND_SLACK_REL)) + c)^2 + BOUND_SLACK_STAT std_V(k)/sqrt(R).
 
     c = stats.roundoff is the float64 floor of sqrt(V), below which a bound
-    cannot be checked.  Stack the iterate and shift table as z, so that V_k =
-    ||z_k - z*||^2.  If each computed step is the exact step plus an error of
-    norm <= rho (the rounding u ||x*|| plus gamma times the round-off of the
-    gradients and shifts), Minkowski's inequality gives s_{k+1} <= sqrt((1-r)
-    s_k^2 + N) + rho for s_k = sqrt(E[V_k]), hence by induction s_k <=
-    sqrt(bound_k) + e_k with e_0 = 0, e_{k+1} = sqrt(1-r) e_k + rho, so e_k =
-    rho sum_{j<k} (1-r)^{j/2} <= rho min(k, 1 / (1 - sqrt(1-r))), which the
-    horizon K caps where r is tiny.  The stored x* is within delta =
-    ||grad f(x*)|| / mu of the exact optimum (strong convexity), which adds
-    2 delta, and the shifts at x* inherit it through L_max.
+    cannot be checked.  Stack the iterate and the shift table weighted by w =
+    gamma sqrt(M) as z, so that V_k = ||z_k - z*||^2, and let s_k =
+    sqrt(E[V_k]).  A computed step is the exact one plus the rounding of x_k
+    and (gamma + w) times the round-off e(||x_k||) of the gradients and shifts
+    (see _roundoff): an error of norm <= rho(||x_k||), rho(X) = u X + (gamma +
+    w) e(X), affine with slope beta = u (1 + (gamma + w) sqrt(d) L_max).
+    Minkowski's inequality gives sqrt(E||x_k||^2) <= ||x*|| + s_k and s_{k+1}
+    <= sqrt((1-r) s_k^2 + N) + sqrt(E[rho(||x_k||)^2]), so by induction s_k <=
+    sqrt(bound_k) + e_k with e_0 = 0 and, as bound_k <= V0 + floor,
+
+        e_{k+1} = sqrt(1-r) e_k + rho(X) + beta e_k,   X = ||x*|| + sqrt(V0 + floor),
+
+    whose beta e_k is second order (u times the accumulated error).  For k <=
+    K, e_k <= (rho(X) + beta max_{j<k} e_j) G, G = min(K, 1 / (1 - sqrt(1-r)))
+    >= sum_{j<k} (1-r)^{j/2} (the horizon caps G where r is tiny), so e_k <=
+    E = rho(X) G / (1 - beta G), the solution of E = (rho(X) + beta E) G (inf
+    where beta G >= 1).  The stored x* is within delta = ||grad f(x*)|| / mu
+    of the exact optimum (strong convexity), which adds 2 delta, and the
+    shifts at x* inherit it through L_max.
     """
     report = Report(title="bound_domination")
     se = stats.std_V / math.sqrt(stats.trials)

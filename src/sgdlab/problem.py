@@ -1,10 +1,16 @@
 """Synthetic strongly convex finite-sum problems with certified constants.
 
-A problem is f(x) = (1/n) * sum_i f_i(x) where every component is either a
-quadratic  f_i(x) = 0.5 x'A_i x - b_i'x  or a ridge-regularized logistic loss
+A problem is f(x) = (1/n) * sum_i f_i(x) over the components of one family:
+quadratics f_i(x) = 0.5 x'A_i x - b_i'x, or ridge-regularized logistic losses
 f_i(x) = log(1 + exp(-y_i a_i'x)) + 0.5*ridge*||x||^2.  All gradients are
-analytic; L, mu and x* are computed exactly (quadratic) or from certified
-closed forms and Newton's method (logistic).
+analytic.  A FiniteSumProblem subclass is its family's one declaration: its
+PROBLEMS key family, a one-line summary for `sgdlab list`, its dataclass
+fields, which are the config keys of its explicit arrays (a field's metadata
+"key" renames it), the seeded classmethod generate, whose parameters are the
+config keys of the generated form, and family_constants, which gives L_i, L,
+mu, x* and the min-curvature direction exactly (quadratic) or from certified
+closed forms and Newton's method (logistic).  compute_constants certifies
+what every family shares.
 """
 
 from __future__ import annotations
@@ -34,11 +40,16 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 
 class FiniteSumProblem:
-    """Base class; concrete families are QuadraticSum and LogisticSum, which define eval_f and grad_i."""
+    """Base class; a subclass declares its family (see the module docstring), eval_f and grad_i."""
 
     n: int
     d: int
-    family: str
+    family = "base"
+    summary = ""
+
+    def family_constants(self) -> tuple[np.ndarray, float, float, np.ndarray, np.ndarray | None]:
+        """(L_i, L, mu, x*, unit min-curvature direction or None); ProblemError if mu <= 0."""
+        raise NotImplementedError
 
     def eval_full_grad(self, x: np.ndarray) -> np.ndarray:
         """Exact average of all component gradients at one point."""
@@ -76,9 +87,10 @@ class FiniteSumProblem:
 class QuadraticSum(FiniteSumProblem):
     """Average of quadratics 0.5 x'A_i x - b_i'x with symmetric PSD A_i."""
 
-    A: np.ndarray  # (n, d, d)
-    b: np.ndarray  # (n, d)
-    family: str = field(default="quadratic", init=False)
+    family = "quadratic"
+    summary = "random rotations of a prescribed spectrum; shift_scale = 0 gives a shared minimizer"
+    A: np.ndarray = field(metadata={"key": "matrices"})  # (n, d, d)
+    b: np.ndarray = field(metadata={"key": "offsets"})  # (n, d)
 
     def __post_init__(self) -> None:
         self.A = np.asarray(self.A, dtype=float)
@@ -117,16 +129,50 @@ class QuadraticSum(FiniteSumProblem):
         g -= self._b_mean
         return g
 
+    def family_constants(self):
+        """Eigenvalues of the component and average matrices; x* through the average's eigendecomposition."""
+        evals, evecs = np.linalg.eigh(self._A_mean)
+        if evals[0] <= 0:
+            raise ProblemError(f"average curvature mu = {evals[0]:g} is not strictly positive")
+        x_star = evecs @ ((evecs.T @ self._b_mean) / evals)
+        direction = evecs[:, 0] * np.sign(evecs[np.flatnonzero(evecs[:, 0])[0], 0])  # first nonzero entry > 0
+        return np.linalg.eigvalsh(self.A)[:, -1], float(evals[-1]), float(evals[0]), x_star, direction
+
+    @classmethod
+    def generate(
+        cls, n: int, d: int, *, eig_lo: float = 1.0, eig_hi: float = 3.0, shift_scale: float = 1.0, seed: int = 0
+    ) -> QuadraticSum:
+        """Seeded random quadratic sum with prescribed per-component spectrum.
+
+        Every A_i is Q' diag(linspace(eig_lo, eig_hi, d)) Q with an independent
+        random rotation Q, so L_i = eig_hi for all i and the condition number of
+        each component is eig_hi/eig_lo.  b_i = shift_scale * standard normal;
+        shift_scale = 0 gives b = 0, i.e. all components share the minimizer 0
+        (interpolation regime).
+        """
+        _check_generator(n, d, seed)
+        if not 0 < eig_lo <= eig_hi:
+            raise ProblemError("need 0 < eig_lo <= eig_hi")
+        rng = np.random.default_rng(seed)
+        spectrum = np.linspace(eig_lo, eig_hi, d) if d > 1 else np.array([eig_hi])
+        A = np.empty((n, d, d))
+        for i in range(n):
+            Q = _random_rotation(d, rng)
+            A[i] = (Q * spectrum) @ Q.T
+            A[i] = 0.5 * (A[i] + A[i].T)  # kill round-off asymmetry
+        b = shift_scale * rng.standard_normal((n, d)) if shift_scale != 0 else np.zeros((n, d))
+        return cls(A=A, b=b)
+
 
 @dataclass
 class LogisticSum(FiniteSumProblem):
     """Average of logistic losses on (a_i, y_i) with an L2 ridge term."""
 
+    family = "logistic"
+    summary = "random features with planted labels and an L2 ridge"
     features: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,), entries in {-1, +1}
     ridge: float
-
-    family: str = field(default="logistic", init=False)
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
@@ -166,6 +212,28 @@ class LogisticSum(FiniteSumProblem):
         t = self._margins(x)
         return float(np.mean(np.logaddexp(0.0, -t)) + 0.5 * self.ridge * (x @ x))
 
+    def family_constants(self):
+        """L_i = 0.25 ||a_i||^2 + ridge, L = 0.25 lmax((1/n) sum a_i a_i') + ridge, mu = ridge (the only
+        globally valid curvature lower bound), and x* by Newton's method."""
+        if self.ridge <= 0:
+            raise ProblemError("logistic problems need ridge > 0 for strong convexity")
+        L_i = 0.25 * np.sum(self.features**2, axis=1) + self.ridge
+        L = float(0.25 * np.linalg.eigvalsh(self.features.T @ self.features / self.n)[-1] + self.ridge)
+        return L_i, L, self.ridge, _logistic_optimum(self), None
+
+    @classmethod
+    def generate(cls, n: int, d: int, *, ridge: float = 0.1, feature_scale: float = 1.0, seed: int = 0) -> LogisticSum:
+        """Seeded random logistic problem with planted labels."""
+        _check_generator(n, d, seed)
+        rng = np.random.default_rng(seed)
+        feats = feature_scale * rng.standard_normal((n, d))
+        planted = rng.standard_normal(d)
+        labels = np.where(feats @ planted >= 0, 1.0, -1.0)
+        # flip a few labels so the data is not perfectly separable
+        flips = rng.random(n) < 0.1
+        labels[flips] = -labels[flips]
+        return cls(features=feats, labels=labels, ridge=ridge)
+
 
 @dataclass(frozen=True)
 class ProblemConstants:
@@ -186,11 +254,6 @@ class ProblemConstants:
     sigma_star_sq: float
     grads_at_star: np.ndarray  # (n, d)
     min_curv_dir: np.ndarray | None = None  # unit eigenvector of the smallest average curvature
-
-
-def _eigh_solve(evals: np.ndarray, evecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # solve (V diag(evals) V') x = rhs via the eigendecomposition
-    return evecs @ ((evecs.T @ rhs) / evals)
 
 
 def _logistic_optimum(problem: LogisticSum) -> np.ndarray:
@@ -225,40 +288,12 @@ def _logistic_optimum(problem: LogisticSum) -> np.ndarray:
 def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     """Certify L, mu, per-component L_i, L_max, and the optimum of a problem.
 
-    Quadratic: eigenvalues of the component and average matrices; x* solved
-    through the eigendecomposition of the average matrix.  Logistic: L_i =
-    0.25 ||a_i||^2 + ridge, L = 0.25 lmax((1/n) sum a_i a_i') + ridge, and
-    mu = ridge (the only globally valid curvature lower bound); x* found by
-    Newton's method.
-
-    Raises ProblemError when mu is not strictly positive or x* fails the
-    certificate ||grad f(x*)|| <= OPT_GRAD_RTOL max(1, ||x*||) < inf.
+    The family gives L_i, L, mu, x* and the min-curvature direction
+    (family_constants); the rest is shared.  Raises ProblemError when mu is
+    not strictly positive or x* fails the certificate ||grad f(x*)|| <=
+    OPT_GRAD_RTOL max(1, ||x*||) < inf.
     """
-    if isinstance(problem, QuadraticSum):
-        L_i = np.linalg.eigvalsh(problem.A)[:, -1]
-        evals, evecs = np.linalg.eigh(problem._A_mean)
-        mu = float(evals[0])
-        L = float(evals[-1])
-        if mu <= 0:
-            raise ProblemError(f"average curvature mu = {mu:g} is not strictly positive")
-        x_star = _eigh_solve(evals, evecs, problem._b_mean)
-        min_curv_dir = evecs[:, 0].copy()
-        first = np.flatnonzero(min_curv_dir)[0]
-        if min_curv_dir[first] < 0:
-            min_curv_dir = -min_curv_dir
-    elif isinstance(problem, LogisticSum):
-        if problem.ridge <= 0:
-            raise ProblemError("logistic problems need ridge > 0 for strong convexity")
-        sq_norms = np.sum(problem.features**2, axis=1)
-        L_i = 0.25 * sq_norms + problem.ridge
-        gram = problem.features.T @ problem.features / problem.n
-        L = float(0.25 * np.linalg.eigvalsh(gram)[-1] + problem.ridge)
-        mu = problem.ridge
-        x_star = _logistic_optimum(problem)
-        min_curv_dir = None
-    else:
-        raise TypeError(f"unsupported problem type {type(problem).__name__}")
-
+    L_i, L, mu, x_star, min_curv_dir = problem.family_constants()
     L_max = float(np.max(L_i))
     grads_at_star = problem.component_grads(x_star)
     grad_norm = float(np.linalg.norm(grads_at_star.sum(axis=0) / problem.n))
@@ -280,7 +315,9 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     )
 
 
-def _check_seed(seed: int) -> None:
+def _check_generator(n: int, d: int, seed: int) -> None:
+    if n < 1 or d < 1:
+        raise ProblemError("need n >= 1 and d >= 1")
     if seed < 0:
         raise ProblemError(f"seed must be a non-negative integer, got {seed}")
 
@@ -291,56 +328,6 @@ def _random_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_quadratic(
-    n: int,
-    d: int,
-    *,
-    eig_lo: float = 1.0,
-    eig_hi: float = 3.0,
-    shift_scale: float = 1.0,
-    seed: int = 0,
-) -> QuadraticSum:
-    """Seeded random quadratic sum with prescribed per-component spectrum.
-
-    Every A_i is Q' diag(linspace(eig_lo, eig_hi, d)) Q with an independent
-    random rotation Q, so L_i = eig_hi for all i and the condition number of
-    each component is eig_hi/eig_lo.  b_i = shift_scale * standard normal;
-    shift_scale = 0 gives b = 0, i.e. all components share the minimizer 0
-    (interpolation regime).
-    """
-    if n < 1 or d < 1:
-        raise ProblemError("need n >= 1 and d >= 1")
-    _check_seed(seed)
-    if not 0 < eig_lo <= eig_hi:
-        raise ProblemError("need 0 < eig_lo <= eig_hi")
-    rng = np.random.default_rng(seed)
-    spectrum = np.linspace(eig_lo, eig_hi, d) if d > 1 else np.array([eig_hi])
-    A = np.empty((n, d, d))
-    for i in range(n):
-        Q = _random_rotation(d, rng)
-        A[i] = (Q * spectrum) @ Q.T
-        A[i] = 0.5 * (A[i] + A[i].T)  # kill round-off asymmetry
-    b = shift_scale * rng.standard_normal((n, d)) if shift_scale != 0 else np.zeros((n, d))
-    return QuadraticSum(A=A, b=b)
-
-
-def random_logistic(
-    n: int,
-    d: int,
-    *,
-    ridge: float = 0.1,
-    feature_scale: float = 1.0,
-    seed: int = 0,
-) -> LogisticSum:
-    """Seeded random logistic problem with planted labels."""
-    if n < 1 or d < 1:
-        raise ProblemError("need n >= 1 and d >= 1")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    feats = feature_scale * rng.standard_normal((n, d))
-    planted = rng.standard_normal(d)
-    labels = np.where(feats @ planted >= 0, 1.0, -1.0)
-    # flip a few labels so the data is not perfectly separable
-    flips = rng.random(n) < 0.1
-    labels[flips] = -labels[flips]
-    return LogisticSum(features=feats, labels=labels, ridge=ridge)
+PROBLEMS: dict[str, type[FiniteSumProblem]] = {cls.family: cls for cls in (QuadraticSum, LogisticSum)}
+random_quadratic = QuadraticSum.generate
+random_logistic = LogisticSum.generate

@@ -16,7 +16,7 @@ from sgdlab.compressor import COMPRESSORS
 from sgdlab.config import parse_config
 from sgdlab.estimator import ESTIMATORS
 from sgdlab.harness import Check, Report, tail_mean
-from sgdlab.problem import compute_constants
+from sgdlab.problem import PROBLEMS, compute_constants
 from sgdlab.theory import StepsizeError
 
 ISOTROPIC_GD = """
@@ -459,7 +459,7 @@ def test_diverging_sweep_is_a_one_line_error_naming_the_gamma(tmp_path):
 def test_list_prints_every_registered_kind_from_its_class(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
-    for name, cls in [*ESTIMATORS.items(), *COMPRESSORS.items()]:
+    for name, cls in [*ESTIMATORS.items(), *COMPRESSORS.items(), *PROBLEMS.items()]:
         assert cls.summary and f"  {name:10s} {cls.summary}\n" in out, name
     for name, cls in ESTIMATORS.items():
         assert cls.formula and f"certificate: {cls.formula}\n" in out, name
@@ -814,10 +814,10 @@ def test_verify_passes_gd_where_the_gradient_underflows(tmp_path, capsys):
         assert cli.main(["verify", "--config", path, "--seed", str(seed), "--quiet"]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason="_roundoff bounds a step's rounding by u ||x*||, not u ||x_k|| (ROADMAP item 3)")
 def test_verify_passes_gd_where_gamma_mu_rounds_to_one(tmp_path, capsys):
     """gamma = 1/L = 1e200 makes gamma mu round to 1, so bound_V = 0 from k = 1 on, but the first step
-    from the unit-radius start leaves V = 1.3e-32, about (u ||x0||)^2."""
+    from the unit-radius start leaves V = 1.3e-32, about (u ||x0||)^2: the round-off floor bounds a step's
+    rounding by u ||x_k||, not u ||x*|| = 0."""
     conf = (
         "[problem]\nfamily = quadratic\nn = 4\nd = 3\nseed = 3\neig_lo = 1e-200\neig_hi = 1e-200\n"
         "shift_scale = 0.0\n[estimator]\nkind = gd\n"

@@ -1,13 +1,17 @@
-"""The config builder: every registered estimator and compressor builds from its class's fields."""
+"""The config builder: every registered estimator, compressor and problem family builds from its class."""
 
 import dataclasses
+import inspect
+import json
 
+import numpy as np
 import pytest
 
 from sgdlab import __version__
 from sgdlab.compressor import COMPRESSORS
 from sgdlab.config import ConfigError, manifest_text, parse_config_text
 from sgdlab.estimator import ESTIMATORS
+from sgdlab.problem import PROBLEMS, compute_constants
 
 PROBLEM = "[problem]\nfamily = quadratic\nn = 4\nd = 5\nseed = 2\n\n[run]\nsteps = 3\n"
 # a valid value for the key of every field of every registered class
@@ -107,3 +111,102 @@ def test_a_bad_estimator_section_is_one_line_naming_the_key(keys, text):
     with pytest.raises(ConfigError) as info:
         parse_config_text(PROBLEM + f"[estimator]\n{keys}\n")
     assert str(info.value) == text
+
+
+# a value other than the default for every generator parameter of every registered family
+GENERATED = {"n": "5", "d": "3", "seed": "4", "eig_lo": "0.5", "eig_hi": "2.5", "shift_scale": "0.75",
+             "ridge": "0.2", "feature_scale": "1.5"}
+ESTIMATOR = "[estimator]\nkind = gd\n"
+
+
+def _problem_text(keys: dict) -> str:
+    return "[problem]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + ESTIMATOR
+
+
+def _generated_keys(family):
+    """The [problem] keys of the generated form, one per parameter of the family's generator."""
+    params = inspect.signature(PROBLEMS[family].generate).parameters
+    return {"family": family} | {name: GENERATED[name] for name in params}
+
+
+def _explicit_keys(problem):
+    """The [problem] keys of the explicit form of a problem, as JSON arrays and reprs of floats."""
+    keys = {"family": problem.family}
+    for f in dataclasses.fields(problem):
+        value = getattr(problem, f.name)
+        keys[f.metadata.get("key", f.name)] = json.dumps(value.tolist()) if f.type == "np.ndarray" else repr(value)
+    return keys
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+def test_every_generator_parameter_is_read_from_its_key(family):
+    cls, keys = PROBLEMS[family], _generated_keys(family)
+    params = inspect.signature(cls.generate).parameters.values()
+    typed = {p.name: {"int": int, "float": float}[p.annotation](keys[p.name]) for p in params}
+    assert all(typed[p.name] != p.default for p in params)
+    problem, expected = parse_config_text(_problem_text(keys)).experiment.problem, cls.generate(**typed)
+    assert type(problem) is cls
+    for f in dataclasses.fields(cls):
+        np.testing.assert_array_equal(getattr(problem, f.name), getattr(expected, f.name))
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+def test_a_generated_problem_as_explicit_arrays_reproduces_its_constants_bit_for_bit(family):
+    generated = parse_config_text(_problem_text(_generated_keys(family))).experiment.problem
+    explicit = parse_config_text(_problem_text(_explicit_keys(generated))).experiment.problem
+    assert type(explicit) is type(generated)
+    want, got = compute_constants(generated), compute_constants(explicit)
+    for f in dataclasses.fields(want):
+        a, b = getattr(want, f.name), getattr(got, f.name)
+        assert (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+
+
+def _required_keys(family):
+    """(form, keys, required key) for every key that one form of the family cannot do without."""
+    generated = _generated_keys(family)
+    params = inspect.signature(PROBLEMS[family].generate).parameters.values()
+    explicit = _explicit_keys(PROBLEMS[family].generate(2, 2))
+    return [("generated", generated, "family")] + [
+        ("generated", generated, p.name) for p in params if p.default is p.empty
+    ] + [("explicit", explicit, key) for key in explicit if key != "family"]
+
+
+REQUIRED_PROBLEM_KEYS = [(f"{family}-{form}-{key}", keys, key) for family in sorted(PROBLEMS)
+                         for form, keys, key in _required_keys(family)]
+
+
+@pytest.mark.parametrize(
+    "keys, key", [case[1:] for case in REQUIRED_PROBLEM_KEYS], ids=[case[0] for case in REQUIRED_PROBLEM_KEYS]
+)
+def test_dropping_a_required_problem_key_is_a_one_line_error_naming_it(keys, key):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(_problem_text({k: v for k, v in keys.items() if k != key}))
+    assert str(info.value) == f"[problem] is missing required key '{key}'"
+
+
+@pytest.mark.parametrize(
+    "keys, text",
+    [
+        ({"family": "lasso", "n": "4", "d": "2"},
+         "[problem] unknown family 'lasso'; available: " + ", ".join(sorted(PROBLEMS))),
+        ({"family": "quadratic", "n": "4", "d": "2", "seed": "-1"},
+         "[problem] seed must be a non-negative integer, got -1"),
+        ({"family": "logistic", "n": "4", "d": "2", "seed": "-1"},
+         "[problem] seed must be a non-negative integer, got -1"),
+        ({"family": "quadratic", "n": "4", "d": "2", "eig_lo": "3", "eig_hi": "1"},
+         "[problem] need 0 < eig_lo <= eig_hi"),
+        ({"family": "quadratic", "matrices": "[[[1, 1], [0, 1]]]", "offsets": "[[0, 0]]"},
+         "[problem] component matrices not symmetric (max |A - A'| = 1)"),
+        ({"family": "logistic", "features": "[[1, 0]]", "labels": "[0]", "ridge": "0.1"},
+         "[problem] labels must be -1 or +1"),
+        ({"family": "quadratic", "n": "4", "d": "2", "ridge": "0.1"}, "[problem] has unknown keys: ridge"),
+        ({"family": "logistic", "features": "[[1, 0]]", "labels": "[1]", "ridge": "0.1", "seed": "1"},
+         "[problem] has unknown keys: seed"),
+    ],
+    ids=["unknown-family", "quadratic-seed", "logistic-seed", "spectrum", "asymmetric", "labels",
+         "generated-unknown-key", "explicit-unknown-key"],
+)
+def test_a_bad_problem_section_is_one_line_naming_the_key_or_the_families(keys, text):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(_problem_text(keys))
+    assert str(info.value) == text and "\n" not in text

@@ -12,12 +12,15 @@ manifests record it ([tool] stream) and `version V` ([tool] version).
 Then, for every estimator kind (cdgd and diana with a rand_k and a bernoulli
 compressor) on a generated quadratic and a generated logistic problem, one
 line `<kind>/<family> trajectory.csv <sha256>` and one `... manifest
-<sha256>` from `sgdlab run`, and one `sweep/<family> sweep.csv <sha256>` per
-family from `sgdlab sweep` over a grid with an inadmissible entry.  The runs
-take 300 steps, more than one draw chunk, and record every step.  Last, one
-`verify/<case> stdout <sha256>` line per `sgdlab verify` case: DIANA with a
-Bernoulli compressor (q = 0.25, n = 10) at d = 20, where the assumption and
-compressor checks sample, and at d = 12, where they are exact, and lsvrg.
+<sha256>` from `sgdlab run`, one `sweep/<family> sweep.csv <sha256>` per
+family from `sgdlab sweep` over a grid with an inadmissible entry, and one
+`explicit-lsvrg/<family> ...` pair per family from `sgdlab run` on a problem
+given as explicit JSON arrays (`matrices`/`offsets`, `features`/`labels`/
+`ridge`), which this tool generates with numpy.  The runs take 300 steps,
+more than one draw chunk, and record every step.  Last, one `verify/<case>
+stdout <sha256>` line per `sgdlab verify` case: DIANA with a Bernoulli
+compressor (q = 0.25, n = 10) at d = 20, where the assumption and compressor
+checks sample, and at d = 12, where they are exact, and lsvrg on each family.
 
 --compare prints every line that differs, "-" from BASE and "+" from CHANGE.
 It exits 1 when the two files have the same header but any other line
@@ -31,11 +34,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 FAMILIES = {
     "quadratic": {"family": "quadratic", "n": "6", "d": "4", "seed": "3"},
@@ -61,8 +67,27 @@ VERIFY = {  # case: (problem, estimator, --points)
     "diana-bernoulli-d20": ({"family": "quadratic", "n": "10", "d": "20", "seed": "3"}, DIANA_BERNOULLI, "2"),
     "diana-bernoulli-d12": ({"family": "quadratic", "n": "10", "d": "12", "seed": "3"}, DIANA_BERNOULLI, "2"),
     "lsvrg": (FAMILIES["quadratic"], ESTIMATORS["lsvrg"], "20"),
+    "lsvrg-logistic": (FAMILIES["logistic"], ESTIMATORS["lsvrg"], "20"),
 }
+EXPLICIT_ESTIMATOR = "lsvrg"
 HEADER = ("stream_layout", "version")
+
+
+def explicit_problems() -> dict[str, dict[str, str]]:
+    """One [problem] section of explicit JSON arrays per family, as bench/workloads.py writes them."""
+    rng, n, d = np.random.default_rng(5), 6, 4
+    A = np.empty((n, d, d))
+    for i in range(n):
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        a = (q * np.linspace(1.0, 3.0, d)) @ q.T
+        A[i] = 0.5 * (a + a.T)
+    b, features = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    labels = np.where(features @ rng.standard_normal(d) >= 0, 1.0, -1.0)
+    return {
+        "quadratic": {"family": "quadratic", "matrices": json.dumps(A.tolist()), "offsets": json.dumps(b.tolist())},
+        "logistic": {"family": "logistic", "features": json.dumps(features.tolist()),
+                     "labels": json.dumps(labels.tolist()), "ridge": "0.1"},
+    }
 
 
 def write_config(path: Path, problem: dict, estimator: dict) -> None:
@@ -88,6 +113,7 @@ def sha256(path: Path) -> str:
 
 def digests(src: Path) -> list[str]:
     lines: list[str] = []
+    explicit = explicit_problems()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for family, problem in FAMILIES.items():
@@ -109,6 +135,12 @@ def digests(src: Path) -> list[str]:
             sgdlab(src, "sweep", "--config", str(case / "config.ini"), "--out", str(case), "--quiet",
                    "--gammas", SWEEP_GAMMAS)
             lines.append(f"sweep/{family} sweep.csv {sha256(case / 'sweep.csv')}")
+            case = work / f"explicit-{family}"
+            case.mkdir()
+            write_config(case / "config.ini", explicit[family], ESTIMATORS[EXPLICIT_ESTIMATOR])
+            sgdlab(src, "run", "--config", str(case / "config.ini"), "--out", str(case), "--quiet")
+            for output in ("trajectory.csv", "manifest"):
+                lines.append(f"explicit-{EXPLICIT_ESTIMATOR}/{family} {output} {sha256(case / output)}")
         for name, (problem, estimator, points) in VERIFY.items():
             case = work / f"verify-{name}"
             case.mkdir()
