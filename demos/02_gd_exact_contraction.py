@@ -20,7 +20,7 @@ config = ExperimentConfig(
     gamma=gamma,
     steps=2000,
     trials=1,
-    base_seed=11,
+    seed=11,
     record_every=1,
 )
 stats = run_monte_carlo(config)

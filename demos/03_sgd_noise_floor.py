@@ -32,7 +32,7 @@ for gamma in (gamma_max, gamma_max / 2, gamma_max / 4):
         gamma=gamma,
         steps=K,
         trials=1000,
-        base_seed=202,
+        seed=202,
         record_every=1,
     )
     resolved = config.resolve()

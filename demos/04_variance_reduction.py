@@ -30,7 +30,7 @@ curves = []
 for name, est, gamma in runs:
     config = ExperimentConfig(
         problem=problem, estimator=est, gamma=gamma, steps=K, trials=200,
-        base_seed=404, record_every=1,
+        seed=404, record_every=1,
     )
     curves.append(run_monte_carlo(config).mean_dist_sq)
 

@@ -23,11 +23,11 @@ omega = comp.omega(problem.d)
 
 cdgd_cfg = ExperimentConfig(
     problem=problem, estimator=CDGD(compressor=comp), steps=800, trials=500,
-    base_seed=505, record_every=1,
+    seed=505, record_every=1,
 )
 diana_cfg = ExperimentConfig(
     problem=problem, estimator=DIANA(compressor=comp), steps=800, trials=500,
-    base_seed=506, record_every=1,
+    seed=506, record_every=1,
 )
 cdgd_res = cdgd_cfg.resolve()
 cdgd = run_monte_carlo(cdgd_res)

@@ -35,7 +35,7 @@ from .theory import StepsizeError
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, metavar="PATH", help="experiment config file")
-    p.add_argument("--seed", type=int, default=None, metavar="U64", help="override base seed")
+    p.add_argument("--seed", type=int, default=None, metavar="U64", help="override the [run] seed")
     p.add_argument("--trials", type=int, default=None, metavar="R", help="override trial count")
     p.add_argument("--quiet", action="store_true", help="suppress per-check output")
 
@@ -74,7 +74,7 @@ def _load(args):
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        loaded.experiment.base_seed = args.seed
+        loaded.experiment.seed = args.seed
     if args.trials is not None:
         loaded.experiment.trials = args.trials
     return loaded
@@ -104,14 +104,14 @@ def _cmd_verify(args) -> int:
     reports = []
     compressor = getattr(resolved.estimator, "compressor", None)
     if compressor is not None:
-        reports.append(verify_compressor(compressor, resolved.problem.d, seed=resolved.base_seed))
+        reports.append(verify_compressor(compressor, resolved.problem.d, seed=resolved.seed))
     reports.append(
         verify_assumption(
             resolved.problem,
             resolved.constants,
             resolved.estimator,
             num_points=args.points,
-            seed=resolved.base_seed,
+            seed=resolved.seed,
         )
     )
     stats = run_monte_carlo(resolved)

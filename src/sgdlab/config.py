@@ -8,8 +8,8 @@ Configs are flat INI documents with three sections:
                  arrays (see build_problem)
     [estimator]  kind = a registered estimator (`sgdlab list`), plus one key
                  per field of its class (see build_estimator)
-    [run]        gamma, lyapunov_m, steps, trials, seed, record_every,
-                 x0_radius, x0_mode
+    [run]        one key per field of ExperimentConfig after problem and
+                 estimator, with its default (see parse_config_text)
 
 Unknown sections or keys are errors.  A manifest written by `sgdlab run` is
 itself a valid config (the extra [certificate] and [tool] sections are
@@ -43,10 +43,13 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration file."""
 
 
-def _fmt(value: float) -> str:
-    return FLOAT_FMT % value
+def _fmt(value) -> str:
+    """A float to 17 significant digits, anything else by str."""
+    return FLOAT_FMT % value if isinstance(value, float) else str(value)
 
 
+# the [run] keys, in manifest order: every field of ExperimentConfig but its problem and estimator
+RUN_FIELDS = [f for f in dataclasses.fields(ExperimentConfig) if f.name not in ("problem", "estimator")]
 _REQUIRED = inspect.Parameter.empty  # the default of a required key, as of a parameter without one
 
 
@@ -70,25 +73,21 @@ class _Section:
             return default
         return self.values[key]
 
-    def get_int(self, key: str, default=None) -> int:
+    def get_int(self, key: str, default=None, auto: bool = False) -> int | str:
+        """An integer; with auto=True the literal 'auto' is returned as is."""
         v = self.get_str(key, default)
-        if isinstance(v, int):
-            return v
+        if auto and v.strip() == "auto":
+            return "auto"
         try:
             return int(v)
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key} must be an integer, got {v!r}") from None
-
-    def get_seed(self) -> int:
-        seed = self.get_int("seed", 0)
-        if seed < 0:
-            raise ConfigError(f"[{self.name}] seed must be a non-negative integer, got {seed}")
-        return seed
+            expected = "an integer or 'auto'" if auto else "an integer"
+            raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}") from None
 
     def get_float(self, key: str, default=None, auto: bool = False) -> float | str:
         """A number; with auto=True the literal 'auto' is returned as is."""
         v = self.get_str(key, default)
-        if auto and isinstance(v, str) and v.strip() == "auto":
+        if auto and v.strip() == "auto":
             return "auto"
         try:
             value = float(v)
@@ -116,9 +115,15 @@ class _Section:
 
 
 def _value(section: _Section, annotation: str, key: str, default=_REQUIRED):
-    """The value of key read by a (string) annotation: a float, an int or a JSON array."""
-    read = {"float": section.get_float, "int": section.get_int, "np.ndarray": section.get_array}[annotation]
-    return read(key, default)
+    """The value of key read by a (string) annotation: a float, an int, a str or a JSON array.  A number annotated
+    `| str` or `| None` may be 'auto', which, like a missing key, reads as default (the field's auto value)."""
+    number, _, auto = annotation.partition(" | ")
+    read = {"float": section.get_float, "int": section.get_int, "str": section.get_str,
+            "np.ndarray": section.get_array}[number]
+    if not auto:
+        return read(key, default)
+    value = read(key, "auto", auto=True)
+    return default if value == "auto" else value
 
 
 def _lookup(registry: dict[str, type], what: str, name: str, section: _Section) -> type:
@@ -160,11 +165,8 @@ def _build(registry: dict[str, type], what: str, kind: str, section: _Section):
         if f.type == "Compressor":
             compressor = section.get_str(f.name, f.default_factory.name)
             values[f.name] = _build(COMPRESSORS, "compressor", compressor, section)
-        elif f.type == "float | None":
-            value = section.get_float(f.name, "auto", auto=True)
-            values[f.name] = None if value == "auto" else value
         else:
-            values[f.name] = _value(section, f.type, f.name)
+            values[f.name] = _value(section, f.type, f.name, f.default if "|" in f.type else _REQUIRED)
     return _make(section, cls, values)
 
 
@@ -201,21 +203,9 @@ def parse_config_text(text: str) -> LoadedConfig:
     estimator = build_estimator(_Section("estimator", sections["estimator"]))
 
     run = _Section("run", sections.get("run", {}))
-    experiment = ExperimentConfig(
-        problem=problem,
-        estimator=estimator,
-        gamma=run.get_float("gamma", "auto", auto=True),
-        lyapunov_m=run.get_float("lyapunov_m", "auto", auto=True),
-        steps=run.get_int("steps", 1000),
-        trials=run.get_int("trials", 1),
-        base_seed=run.get_seed(),
-        record_every=(
-            "auto" if run.get_str("record_every", "auto") == "auto" else run.get_int("record_every", 0)
-        ),
-        x0_radius=run.get_float("x0_radius", 1.0),
-        x0_mode=run.get_str("x0_mode", "random"),
-    )
+    values = {f.name: _value(run, f.type, f.name, f.default) for f in RUN_FIELDS}
     run.reject_unknown()
+    experiment = ExperimentConfig(problem=problem, estimator=estimator, **values)
     try:
         experiment.validate()
     except ValueError as exc:
@@ -240,16 +230,8 @@ def manifest_text(loaded: LoadedConfig, resolved: ResolvedExperiment, version: s
     out["estimator"] = est_section
 
     stride = int(np.diff(resolved.record_ks).max()) if len(resolved.record_ks) > 1 else 1
-    out["run"] = {
-        "gamma": _fmt(resolved.gamma),
-        "lyapunov_m": _fmt(resolved.M),
-        "steps": str(resolved.steps),
-        "trials": str(resolved.trials),
-        "seed": str(resolved.base_seed),
-        "record_every": str(stride),
-        "x0_radius": _fmt(loaded.experiment.x0_radius),
-        "x0_mode": loaded.experiment.x0_mode,
-    }
+    run = dataclasses.replace(loaded.experiment, gamma=resolved.gamma, lyapunov_m=resolved.M, record_every=stride)
+    out["run"] = {f.name: _fmt(getattr(run, f.name)) for f in RUN_FIELDS}
     cert = dataclasses.asdict(resolved.certificate)  # A, B, C, D1, D2, rho, then has_sigma
     out["certificate"] = {key.lower(): _fmt(value) for key, value in cert.items() if key != "has_sigma"} | {
         "gamma": _fmt(resolved.gamma),

@@ -9,10 +9,10 @@ dominated by the closed-form bound.
 One kernel runs everything: Estimator.step advances a batch of rows at once,
 R trials of a trajectory or S replicas of one verifier state.  Randomness is
 organized in counter-derived streams (stream layout STREAM_LAYOUT): trial r
-draws from default_rng([base_seed, 0, r]) in whole chunks of STREAM_CHUNK
+draws from default_rng([seed, 0, r]) in whole chunks of STREAM_CHUNK
 steps (a full chunk even when fewer steps remain, so steps 1..K do not depend
-on K), the initial direction from default_rng([base_seed, 1]), verification
-point j from default_rng([base_seed, 2, j]).  Every batched contraction is an
+on K), the initial direction from default_rng([seed, 1]), verification
+point j from default_rng([seed, 2, j]).  Every batched contraction is an
 einsum (np.einsum's C routine, problem.einsum), whose rows do not depend on
 the batch size, so results are bitwise the same however trials are split
 into blocks and replicas into chunks.
@@ -115,6 +115,8 @@ def _row_bytes(resolved: "ResolvedExperiment") -> int:
 class ExperimentConfig:
     """One experiment: problem + estimator + run parameters.
 
+    The fields after problem and estimator are the keys of a config's [run]
+    section, read and written in this order with these defaults (see config).
     gamma, lyapunov_m, and record_every accept "auto" (resolved against the
     certificate: gamma = max admissible stepsize, M = 2B/rho, record stride =
     max(1, K // 1000)).
@@ -126,7 +128,7 @@ class ExperimentConfig:
     lyapunov_m: float | str = "auto"
     steps: int = 1000
     trials: int = 1
-    base_seed: int = 0
+    seed: int = 0
     record_every: int | str = "auto"
     x0_radius: float = 1.0
     x0_mode: str = "random"
@@ -136,8 +138,8 @@ class ExperimentConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.x0_radius < 0:
             raise ValueError(f"x0_radius must be >= 0, got {self.x0_radius}")
         if self.x0_mode not in ("random", "min_curvature"):
@@ -165,7 +167,7 @@ class ExperimentConfig:
                 raise ValueError(f"x0_mode='min_curvature' is not available for {self.problem.family} problems")
             u = constants.min_curv_dir
         else:
-            raw = np.random.default_rng([self.base_seed, INIT_STREAM]).standard_normal(self.problem.d)
+            raw = np.random.default_rng([self.seed, INIT_STREAM]).standard_normal(self.problem.d)
             u = raw / np.linalg.norm(raw)
         x0 = constants.x_star + self.x0_radius * u
         # a start whose distance overflows is reported by the run as a TrajectoryError
@@ -186,7 +188,7 @@ class ExperimentConfig:
             M=M,
             steps=self.steps,
             trials=self.trials,
-            base_seed=self.base_seed,
+            seed=self.seed,
             record_ks=np.array(ks, dtype=np.int64),
             x0=x0,
             sigma0_sq=state0.sigma_sq,
@@ -206,7 +208,7 @@ class ResolvedExperiment:
     M: float
     steps: int
     trials: int
-    base_seed: int
+    seed: int
     record_ks: np.ndarray
     x0: np.ndarray
     sigma0_sq: float
@@ -293,7 +295,7 @@ def run_trajectory(
     problem, est, constants = resolved.problem, resolved.estimator, resolved.constants
     x_star, ks = constants.x_star, resolved.record_ks
     gammas = [float(g) for g in ([resolved.gamma] if gammas is None else gammas)]
-    rngs = [np.random.default_rng([resolved.base_seed, TRIAL_STREAM, r]) for r in trials]
+    rngs = [np.random.default_rng([resolved.seed, TRIAL_STREAM, r]) for r in trials]
     R, G = len(rngs), len(gammas)
     rows = G * R
     # a float factor where there is one gamma: a (rows, 1) column costs more per step
@@ -622,9 +624,14 @@ def verify_bound(stats: TrajectoryStats) -> Report:
     E = rho(X) G / (1 - beta G), the solution of E = (rho(X) + beta E) G (inf
     where beta G >= 1).  The stored x* is within delta = ||grad f(x*)|| / mu
     of the exact optimum (strong convexity), which adds 2 delta, and the
-    shifts at x* inherit it through L_max.
+    shifts at x* inherit it through L_max.  An unbounded c is one FAIL check,
+    bound[round-off floor]: no bound can be checked above it.
     """
     report = Report(title="bound_domination")
+    if not math.isfinite(stats.roundoff):
+        detail = f"round-off floor c={stats.roundoff:.6e} is unbounded, so no bound can be checked"
+        report.checks.append(Check("bound[round-off floor]", -math.inf, 0.0, exact=False, detail=detail))
+        return report
     se = stats.std_V / math.sqrt(stats.trials)
     limit = (np.sqrt(stats.bound_V * (1.0 + BOUND_SLACK_REL)) + stats.roundoff) ** 2 + BOUND_SLACK_STAT * se
     margins = limit - stats.mean_V

@@ -66,7 +66,7 @@ def test_criterion_01_deterministic_gd_exactness():
     gamma = 1.0 / COND100_C.L
     cfg = ExperimentConfig(
         problem=COND100, estimator=FullGradient(), gamma=gamma, steps=2000, trials=1,
-        base_seed=11, record_every=1,
+        seed=11, record_every=1,
     )
     (dist,), _ = run_trajectory(cfg.resolve(), range(1))
     rate = 1.0 - gamma * COND100_C.mu
@@ -84,7 +84,7 @@ def test_criterion_02_uniform_sgd_floor():
     K = math.ceil(20.0 / (gamma * HET_C.mu))
     cfg = ExperimentConfig(
         problem=HET, estimator=UniformSGD(), gamma=gamma, steps=K, trials=2000,
-        base_seed=202, record_every=1,
+        seed=202, record_every=1,
     )
     resolved = cfg.resolve()
     floor = 2.0 * gamma * HET_C.sigma_star_sq / HET_C.mu
@@ -105,7 +105,7 @@ def test_criterion_03_lsvrg_exact_convergence():
     gamma = 1.0 / (6.0 * HET_C.L_max)
     mc = ExperimentConfig(
         problem=HET, estimator=LSVRG(p=p), gamma=gamma, steps=2000, trials=1000,
-        base_seed=303, record_every=2,
+        seed=303, record_every=2,
     )
     resolved = mc.resolve()
     expected = 1.0 - min(gamma * HET_C.mu, p / 2.0)
@@ -116,7 +116,7 @@ def test_criterion_03_lsvrg_exact_convergence():
 
     single = ExperimentConfig(
         problem=HET, estimator=LSVRG(p=p), gamma=gamma, steps=5000, trials=1,
-        base_seed=303, record_every=5,
+        seed=303, record_every=5,
     )
     (sdist,), _ = run_trajectory(single.resolve(), range(1))
     assert sdist[-1] <= 1e-10 * sdist[0]
@@ -131,14 +131,14 @@ def test_criterion_04_sgd_star():
     gamma = 1.0 / HET_C.L_max
     run = ExperimentConfig(
         problem=HET, estimator=SGDStar(), gamma=gamma, steps=200, trials=1,
-        base_seed=404, record_every=1,
+        seed=404, record_every=1,
     )
     (dist,), _ = run_trajectory(run.resolve(), range(1))
     assert dist[-1] <= 1e-10 * dist[0]
 
     mc = ExperimentConfig(
         problem=HET, estimator=SGDStar(), gamma=gamma, steps=40, trials=300,
-        base_seed=405, record_every=1,
+        seed=405, record_every=1,
     )
     assert verify_bound(run_monte_carlo(mc)).passed
 
@@ -159,7 +159,7 @@ def test_criterion_05_cdgd_vs_diana_contrast():
 
     cdgd = ExperimentConfig(
         problem=COMP, estimator=CDGD(compressor=comp), steps=300, trials=2000,
-        base_seed=505, record_every=1,
+        seed=505, record_every=1,
     )
     rc = cdgd.resolve()
     floor = 2.0 * rc.gamma * omega * COMP_C.sigma_star_sq / (COMP.n * COMP_C.mu)
@@ -172,7 +172,7 @@ def test_criterion_05_cdgd_vs_diana_contrast():
     # DIANA: alpha = 1/(1+omega), M = 2B/alpha, linear to the exact optimum
     diana = ExperimentConfig(
         problem=COMP, estimator=DIANA(compressor=comp), steps=700, trials=1000,
-        base_seed=506, record_every=1,
+        seed=506, record_every=1,
     )
     rd = diana.resolve()
     cert = rd.certificate
@@ -185,7 +185,7 @@ def test_criterion_05_cdgd_vs_diana_contrast():
 
     single = ExperimentConfig(
         problem=COMP, estimator=DIANA(compressor=comp), steps=2000, trials=1,
-        base_seed=507, record_every=10,
+        seed=507, record_every=10,
     )
     (sdist,), _ = run_trajectory(single.resolve(), range(1))
     assert sdist[-1] <= 1e-10 * sdist[0]
@@ -198,7 +198,7 @@ def test_criterion_06_rcd_linear_convergence():
     gamma = 1.0 / (COND100.d * COND100_C.L)
     cfg = ExperimentConfig(
         problem=COND100, estimator=RCD(), gamma=gamma, steps=2000, trials=1000,
-        base_seed=606, record_every=2,
+        seed=606, record_every=2,
     )
     resolved = cfg.resolve()
     assert resolved.curve.contraction == pytest.approx(1.0 - gamma * COND100_C.mu, rel=1e-12)

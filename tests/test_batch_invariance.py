@@ -69,7 +69,7 @@ def _resolved(kind, family, d, compressor, seed, trials, steps):
     prob, _ = _problem(family, d)
     est = KINDS[kind](COMPRESSORS[compressor])
     cfg = ExperimentConfig(
-        problem=prob, estimator=est, steps=steps, trials=trials, base_seed=seed, record_every=1
+        problem=prob, estimator=est, steps=steps, trials=trials, seed=seed, record_every=1
     )
     return cfg.resolve()
 
@@ -83,7 +83,7 @@ def _grid(kind, family, d, compressor, seed, trials, steps, fractions):
     prob, _ = _problem(family, d)
     cfg = ExperimentConfig(
         problem=prob, estimator=KINDS[kind](COMPRESSORS[compressor]), steps=steps, trials=trials,
-        base_seed=seed, record_every=1,
+        seed=seed, record_every=1,
     )
     resolved = cfg.resolve()
     gammas = [f * resolved.gamma for f in fractions]

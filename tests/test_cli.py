@@ -825,6 +825,23 @@ def test_verify_passes_gd_where_gamma_mu_rounds_to_one(tmp_path, capsys):
     assert cli.main(["verify", "--config", write(tmp_path, conf), "--quiet"]) == 0
 
 
+def test_verify_fails_where_the_round_off_floor_is_unbounded(tmp_path, capsys):
+    """LSVRG at p = 1e-30 weights the shift table's round-off by gamma sqrt(M) = 2 gamma / sqrt(p), so
+    beta G >= 1 and the round-off floor is infinite: no bound is checkable, and that is a FAIL, not a
+    PASS with margin=inf."""
+    conf = (
+        "[problem]\nfamily = quadratic\nn = 20\nd = 5\nseed = 1\n"
+        "[estimator]\nkind = lsvrg\np = 1e-30\n[run]\nsteps = 1000\ntrials = 4\n"
+    )
+    assert cli.main(["verify", "--config", write(tmp_path, conf), "--quiet", "--points", "5"]) == 1
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == "FAIL bound_domination checks=1 worst=bound[round-off floor] margin=-inf"
+    assert cli.main(["verify", "--config", write(tmp_path, conf), "--points", "5"]) == 1
+    assert "FAIL bound[round-off floor] margin=-inf tol=0.000e+00 [sampled] round-off floor c=inf is unbounded" in (
+        capsys.readouterr().out
+    )
+
+
 def _verify_modes(tmp_path, capsys, kind, compressor, d):
     """Modes of the compressor and assumption check lines of `verify` at dimension d; compressor is a config line."""
     conf = (

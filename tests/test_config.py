@@ -1,5 +1,7 @@
-"""The config builder: every registered estimator, compressor and problem family builds from its class."""
+"""The config builder: every registered estimator, compressor and problem family builds from its class,
+and every field of ExperimentConfig is a [run] key."""
 
+import configparser
 import dataclasses
 import inspect
 import json
@@ -11,9 +13,16 @@ from sgdlab import __version__
 from sgdlab.compressor import COMPRESSORS
 from sgdlab.config import ConfigError, manifest_text, parse_config_text
 from sgdlab.estimator import ESTIMATORS
+from sgdlab.harness import ExperimentConfig
 from sgdlab.problem import PROBLEMS, compute_constants
 
-PROBLEM = "[problem]\nfamily = quadratic\nn = 4\nd = 5\nseed = 2\n\n[run]\nsteps = 3\n"
+# a value other than the default for every [run] key, none of them "auto"
+RUN = {"gamma": 0.001, "lyapunov_m": 40.0, "steps": 7, "trials": 3, "seed": 5, "record_every": 2, "x0_radius": 0.5,
+       "x0_mode": "min_curvature"}
+RUN_FIELDS = [f for f in dataclasses.fields(ExperimentConfig) if f.name not in ("problem", "estimator")]
+GENERATED_PROBLEM = "[problem]\nfamily = quadratic\nn = 4\nd = 5\nseed = 2\n\n"
+ESTIMATOR = "[estimator]\nkind = gd\n"
+PROBLEM = GENERATED_PROBLEM + "[run]\n" + "".join(f"{key} = {value}\n" for key, value in RUN.items())
 # a valid value for the key of every field of every registered class
 VALUES = {"p": "0.25", "sigma": "0.3", "alpha": "0.125", "k": "2", "q": "0.5"}
 REQUIRED = ("float", "int")  # field types that a config must name
@@ -70,7 +79,13 @@ def test_a_config_naming_every_field_builds_the_kind_and_its_manifest_reloads_it
     assert type(est) is ESTIMATORS[kind]
     assert _config_values(est) == {key: value for key, (value, _) in keys.items()}
     manifest = manifest_text(loaded, loaded.experiment.resolve(), __version__)
-    assert parse_config_text(manifest).experiment.estimator == est
+    reloaded = parse_config_text(manifest).experiment
+    assert reloaded.estimator == est
+    # the manifest's [run] names every field in field order, and each reloads to the value it was given
+    written = configparser.ConfigParser(interpolation=None)
+    written.read_string(manifest)
+    assert list(written["run"]) == [f.name for f in RUN_FIELDS] == list(RUN)
+    assert {key: getattr(reloaded, key) for key in RUN} == {key: getattr(loaded.experiment, key) for key in RUN} == RUN
 
 
 @pytest.mark.parametrize("kind, compressor", CASES, ids=IDS)
@@ -113,10 +128,49 @@ def test_a_bad_estimator_section_is_one_line_naming_the_key(keys, text):
     assert str(info.value) == text
 
 
+@pytest.mark.parametrize("key", [*RUN, None], ids=[*RUN, "no-run-section"])
+def test_a_run_key_reaches_its_field_and_every_omitted_key_is_the_class_default(key):
+    run = "" if key is None else f"[run]\n{key} = {RUN[key]}\n"
+    experiment = parse_config_text(GENERATED_PROBLEM + ESTIMATOR + run).experiment
+    for f in RUN_FIELDS:
+        want = RUN[key] if f.name == key else f.default
+        assert getattr(experiment, f.name) == want and type(getattr(experiment, f.name)) is type(want), f.name
+
+
+# (key, a malformed or invalid value, its error after "[run] key "): at least one per [run] key
+BAD_RUN = [
+    ("gamma", "fast", "must be a finite number or 'auto', got 'fast'"),
+    ("lyapunov_m", "nan", "must be a finite number or 'auto', got 'nan'"),
+    ("steps", "2.5", "must be an integer, got '2.5'"),
+    ("steps", "-1", "must be >= 0, got -1"),
+    ("trials", "many", "must be an integer, got 'many'"),
+    ("trials", "0", "must be >= 1, got 0"),
+    ("seed", "-1", "must be a non-negative integer, got -1"),
+    ("seed", "1e3", "must be an integer, got '1e3'"),
+    ("record_every", "x", "must be an integer or 'auto', got 'x'"),
+    ("record_every", "0", "must be >= 1, got 0"),
+    ("x0_radius", "inf", "must be a finite number, got 'inf'"),
+    ("x0_radius", "-1", "must be >= 0, got -1.0"),
+    ("x0_mode", "nope", "must be 'random' or 'min_curvature', got 'nope'"),
+]
+
+
+def test_every_run_key_is_a_case():
+    assert list(RUN) == [f.name for f in RUN_FIELDS]
+    assert all(RUN[f.name] != f.default for f in RUN_FIELDS)
+    assert {key for key, _, _ in BAD_RUN} == set(RUN)
+
+
+@pytest.mark.parametrize("key, value, text", BAD_RUN, ids=[f"{key}={value}" for key, value, _ in BAD_RUN])
+def test_a_bad_run_key_is_one_line_naming_the_key(key, value, text):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(GENERATED_PROBLEM + ESTIMATOR + f"[run]\n{key} = {value}\n")
+    assert str(info.value) == f"[run] {key} {text}"
+
+
 # a value other than the default for every generator parameter of every registered family
 GENERATED = {"n": "5", "d": "3", "seed": "4", "eig_lo": "0.5", "eig_hi": "2.5", "shift_scale": "0.75",
              "ridge": "0.2", "feature_scale": "1.5"}
-ESTIMATOR = "[estimator]\nkind = gd\n"
 
 
 def _problem_text(keys: dict) -> str:

@@ -201,7 +201,7 @@ def _replay_layout_v2(est, shadow_chunk, check_step, trial=3, seed=1234):
     steps = STREAM_CHUNK + 20
     cfg = ExperimentConfig(
         problem=PROBLEM, estimator=est, gamma=0.05, steps=steps, trials=trial + 1,
-        base_seed=seed, record_every=1,
+        seed=seed, record_every=1,
     )
     resolved = cfg.resolve()
     shadow = np.random.default_rng([seed, 0, trial])

@@ -41,7 +41,7 @@ class HalfOmega(BernoulliScale):
 def test_gd_trajectory_dominated_by_geometric_decay():
     prob = random_quadratic(1, 6, eig_lo=1.0, eig_hi=10.0, shift_scale=1.0, seed=2)
     cfg = ExperimentConfig(
-        problem=prob, estimator=FullGradient(), steps=400, trials=1, base_seed=3, record_every=1
+        problem=prob, estimator=FullGradient(), steps=400, trials=1, seed=3, record_every=1
     )
     resolved = cfg.resolve()
     (dist,), _ = run_trajectory(resolved, range(1))
@@ -57,7 +57,7 @@ def test_sgd_star_fixed_point_at_optimum():
         estimator=SGDStar(),
         steps=50,
         trials=1,
-        base_seed=4,
+        seed=4,
         record_every=1,
         x0_radius=0.0,  # start exactly at x*
     )
@@ -66,7 +66,7 @@ def test_sgd_star_fixed_point_at_optimum():
 
 
 def test_zero_steps_records_only_initial_point():
-    cfg = ExperimentConfig(problem=HET, estimator=UniformSGD(), steps=0, trials=3, base_seed=5)
+    cfg = ExperimentConfig(problem=HET, estimator=UniformSGD(), steps=0, trials=3, seed=5)
     stats = run_monte_carlo(cfg)
     assert list(stats.ks) == [0]
     assert stats.mean_dist_sq[0] == pytest.approx(1.0, rel=1e-12)  # unit radius start
@@ -74,7 +74,7 @@ def test_zero_steps_records_only_initial_point():
 
 def test_single_trial_stats_equal_trajectory():
     cfg = ExperimentConfig(
-        problem=HET, estimator=LSVRG(p=0.1), steps=200, trials=1, base_seed=6, record_every=10
+        problem=HET, estimator=LSVRG(p=0.1), steps=200, trials=1, seed=6, record_every=10
     )
     resolved = cfg.resolve()
     stats = run_monte_carlo(resolved)
@@ -86,7 +86,7 @@ def test_single_trial_stats_equal_trajectory():
 
 def test_bitwise_reproducibility_and_parallel_independence():
     cfg = ExperimentConfig(
-        problem=HET, estimator=LSVRG(p=0.05), steps=300, trials=12, base_seed=99, record_every=25
+        problem=HET, estimator=LSVRG(p=0.05), steps=300, trials=12, seed=99, record_every=25
     )
     a, b = run_monte_carlo(cfg), run_monte_carlo(cfg)
     np.testing.assert_array_equal(a.mean_dist_sq, b.mean_dist_sq)
@@ -105,7 +105,7 @@ def test_bitwise_reproducibility_and_parallel_independence():
 
 def test_lyapunov_consistency():
     cfg = ExperimentConfig(
-        problem=HET, estimator=DIANA(compressor=RandK(k=1)), steps=150, trials=8, base_seed=13,
+        problem=HET, estimator=DIANA(compressor=RandK(k=1)), steps=150, trials=8, seed=13,
         record_every=10,
     )
     stats = run_monte_carlo(cfg)
@@ -118,7 +118,7 @@ def test_verify_bound_deterministic_gd_tight_slack(monkeypatch):
     monkeypatch.setattr(harness, "BOUND_SLACK_STAT", 0.0)
     prob = random_quadratic(1, 4, eig_lo=1.0, eig_hi=8.0, shift_scale=1.0, seed=8)
     cfg = ExperimentConfig(
-        problem=prob, estimator=FullGradient(), steps=500, trials=1, base_seed=9, record_every=1
+        problem=prob, estimator=FullGradient(), steps=500, trials=1, seed=9, record_every=1
     )
     stats = run_monte_carlo(cfg)
     assert verify_bound(stats).passed
@@ -126,7 +126,7 @@ def test_verify_bound_deterministic_gd_tight_slack(monkeypatch):
 
 def test_verify_bound_trivial_from_optimum():
     cfg = ExperimentConfig(
-        problem=HET, estimator=SGDStar(), steps=100, trials=4, base_seed=10, x0_radius=0.0
+        problem=HET, estimator=SGDStar(), steps=100, trials=4, seed=10, x0_radius=0.0
     )
     stats = run_monte_carlo(cfg)
     assert np.all(stats.mean_V == 0.0)
@@ -134,7 +134,7 @@ def test_verify_bound_trivial_from_optimum():
 
 
 def test_verify_bound_flags_violations():
-    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), steps=20, trials=1, base_seed=11)
+    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), steps=20, trials=1, seed=11)
     stats = run_monte_carlo(cfg)
     stats.mean_V = stats.mean_V + 10.0 * stats.bound_V + 1.0  # inflate past any slack
     report = verify_bound(stats)
@@ -168,6 +168,50 @@ def test_verify_assumption_rejects_corrupted_certificate():
     halved = dataclasses.replace(cert, A=cert.A * 0.5)
     report = verify_assumption(prob, cons, est, num_points=100, seed=15, certificate=halved)
     assert not report.passed
+
+
+HALVED_B_PROBLEM = random_quadratic(6, 4, seed=0)
+
+
+def _halved_b():
+    """LSVRG (p = 0.2) on HALVED_B_PROBLEM, its constants and its certificate with B halved."""
+    est, cons = LSVRG(p=0.2), compute_constants(HALVED_B_PROBLEM)
+    cert = est.certificate(HALVED_B_PROBLEM, cons)
+    return est, cons, dataclasses.replace(cert, B=0.5 * cert.B)
+
+
+def test_a_halved_b_certificate_is_false_at_some_state():
+    """The second-moment slack 2A (f - f*) + B sigma^2 + D1 - E||g||^2 of LSVRG on a quadratic is a quadratic
+    form in z = (x - x*, shifts - grads_at_star); polarized from exact_moments, its least eigenvector is a
+    state where the certificate with B halved is false by 7.7% of its right-hand side."""
+    prob, (est, cons, halved) = HALVED_B_PROBLEM, _halved_b()
+    n, d = prob.n, prob.d
+
+    def state(z):
+        x = cons.x_star + z[:d]
+        return x, est.init_state(prob, cons, x).with_shifts(cons.grads_at_star + z[d:].reshape(n, d), cons)
+
+    def sides(z, cert):
+        x, s = state(z)
+        rhs = 2.0 * cert.A * (prob.eval_f(x) - cons.f_star) + cert.B * s.sigma_sq + cert.D1
+        return rhs - est.exact_moments(prob, cons, s, x)[1], rhs
+
+    basis = np.eye(d + n * d)
+    at = lambda z: sides(z, halved)[0]
+    zero, diag = at(np.zeros(len(basis))), [at(e) for e in basis]
+    form = np.array([[0.5 * (at(a + b) - diag[j] - diag[k] + zero) for k, b in enumerate(basis)]
+                     for j, a in enumerate(basis)])
+    z = np.linalg.eigh(form)[1][:, 0]
+    slack, rhs = sides(z, halved)
+    assert slack < -0.05 * rhs < 0, (slack, rhs)
+    sound_slack, sound_rhs = sides(z, est.certificate(prob, cons))
+    assert sound_slack >= -1e-10 * sound_rhs
+
+
+@pytest.mark.xfail(strict=True, reason="the 100 explored states miss where a halved B is false (ROADMAP item 5)")
+def test_verify_assumption_rejects_a_halved_b():
+    est, cons, halved = _halved_b()
+    assert not verify_assumption(HALVED_B_PROBLEM, cons, est, num_points=100, seed=0, certificate=halved).passed
 
 
 def _warm_states(est, steps=12, seed=40):
@@ -469,7 +513,7 @@ def test_variance_reduction_signature():
     """VR methods drive the tail to ~0; plain SGD and CDGD plateau at the floor."""
     d0 = 1.0  # unit start radius
     for est in (SGDStar(), LSVRG(p=0.05), DIANA(compressor=RandK(k=1))):
-        cfg = ExperimentConfig(problem=HET, estimator=est, steps=10, trials=24, base_seed=16)
+        cfg = ExperimentConfig(problem=HET, estimator=est, steps=10, trials=24, seed=16)
         resolved = cfg.resolve()
         rate = min(
             resolved.gamma * resolved.constants.mu,
@@ -483,7 +527,7 @@ def test_variance_reduction_signature():
         assert tail_mean(stats.mean_dist_sq) <= 1e-8 * d0, est.name
 
     for est in (UniformSGD(), CDGD(compressor=RandK(k=1))):
-        cfg = ExperimentConfig(problem=HET, estimator=est, steps=400, trials=64, base_seed=17)
+        cfg = ExperimentConfig(problem=HET, estimator=est, steps=400, trials=64, seed=17)
         resolved = cfg.resolve()
         assert resolved.curve.floor > 0
         stats = run_monte_carlo(cfg)
@@ -493,7 +537,7 @@ def test_variance_reduction_signature():
 
 
 def test_overflow_raises_diagnostic_error():
-    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), steps=500, trials=1, base_seed=18)
+    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), steps=500, trials=1, seed=18)
     resolved = dataclasses.replace(cfg.resolve(), gamma=50.0)  # far beyond stability
     with pytest.raises(TrajectoryError, match="iteration"):
         run_trajectory(resolved, range(1))
@@ -503,7 +547,7 @@ def test_overflow_names_the_same_step_for_any_record_stride():
     messages = []
     for stride in (1, 25):
         cfg = ExperimentConfig(
-            problem=HET, estimator=FullGradient(), steps=500, trials=3, base_seed=18,
+            problem=HET, estimator=FullGradient(), steps=500, trials=3, seed=18,
             record_every=stride,
         )
         resolved = dataclasses.replace(cfg.resolve(), gamma=50.0)
@@ -520,7 +564,7 @@ def _replay_trajectory(resolved, trials):
     """Reference kernel: check every iterate and record it at the step that made it."""
     problem, est, constants = resolved.problem, resolved.estimator, resolved.constants
     gamma, x_star, ks = resolved.gamma, constants.x_star, resolved.record_ks
-    rngs = [np.random.default_rng([resolved.base_seed, TRIAL_STREAM, r]) for r in trials]
+    rngs = [np.random.default_rng([resolved.seed, TRIAL_STREAM, r]) for r in trials]
     dist = np.empty((len(rngs), len(ks)))
     sig = np.empty((len(rngs), len(ks)))
     X = np.tile(resolved.x0, (len(rngs), 1))
@@ -574,7 +618,7 @@ def test_chunked_kernel_records_what_the_per_step_kernel_records(setup, family):
     for steps, record_every in ((300, 1), (517, 7), (2049, "auto")):
         cfg = ExperimentConfig(
             problem=KERNEL_PROBLEMS[family], estimator=KERNEL_SETUPS[setup](), steps=steps, trials=4,
-            base_seed=19, record_every=record_every,
+            seed=19, record_every=record_every,
         )
         resolved = cfg.resolve()
         dist, sig = run_trajectory(resolved, range(1, 4))
@@ -608,7 +652,7 @@ def _trajectory_error(run, resolved, trials):
 @pytest.mark.parametrize("at", [1, 100, STREAM_CHUNK, STREAM_CHUNK + 1])
 def test_chunked_kernel_names_the_first_diverging_step_and_trial(at):
     """A row that diverges mid-chunk or at a chunk edge is reported as the per-step check reported it."""
-    cfg = ExperimentConfig(problem=HET, estimator=UniformSGD(), steps=600, trials=4, base_seed=20, record_every=50)
+    cfg = ExperimentConfig(problem=HET, estimator=UniformSGD(), steps=600, trials=4, seed=20, record_every=50)
     resolved = cfg.resolve()
     messages = [
         _trajectory_error(run, dataclasses.replace(resolved, estimator=_PoisonedSGD(at=at, row=2)), range(3, 7))
@@ -620,7 +664,7 @@ def test_chunked_kernel_names_the_first_diverging_step_and_trial(at):
 @pytest.mark.parametrize("setup", ["sgd", "lsvrg", "cdgd-rand_k", "diana-bernoulli"])
 def test_chunked_kernel_reports_an_overflow_as_the_per_step_kernel(setup):
     """Trials that overflow at a too large stepsize: same iteration, same trial as the reference."""
-    cfg = ExperimentConfig(problem=HET, estimator=KERNEL_SETUPS[setup](), steps=800, trials=5, base_seed=18)
+    cfg = ExperimentConfig(problem=HET, estimator=KERNEL_SETUPS[setup](), steps=800, trials=5, seed=18)
     resolved = dataclasses.replace(cfg.resolve(), gamma=1.2)
     messages = [_trajectory_error(run, resolved, range(5)) for run in (run_trajectory, _replay_trajectory)]
     assert messages[0] == messages[1]
@@ -641,9 +685,9 @@ def test_config_validation_errors():
         ExperimentConfig(problem=HET, estimator=FullGradient(), gamma="fast").validate()
 
 
-def test_negative_base_seed_is_rejected_by_name():
-    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), base_seed=-1)
-    with pytest.raises(ValueError, match="base_seed must be a non-negative integer, got -1"):
+def test_negative_seed_is_rejected_by_name():
+    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         cfg.resolve()
 
 
@@ -655,7 +699,7 @@ def test_logistic_problem_end_to_end():
     report = verify_assumption(prob, cons, LSVRG(p=0.1), num_points=25, seed=34)
     assert report.passed
     cfg = ExperimentConfig(
-        problem=prob, estimator=LSVRG(p=0.1), steps=600, trials=32, base_seed=35,
+        problem=prob, estimator=LSVRG(p=0.1), steps=600, trials=32, seed=35,
         record_every=5,
     )
     stats = run_monte_carlo(cfg)
@@ -666,7 +710,7 @@ def test_logistic_problem_end_to_end():
 def test_min_curvature_start_mode():
     prob = random_quadratic(1, 5, eig_lo=1.0, eig_hi=9.0, shift_scale=0.5, seed=19)
     cfg = ExperimentConfig(
-        problem=prob, estimator=FullGradient(), steps=3, trials=1, base_seed=20,
+        problem=prob, estimator=FullGradient(), steps=3, trials=1, seed=20,
         x0_mode="min_curvature",
     )
     resolved = cfg.resolve()

@@ -17,7 +17,11 @@ family from `sgdlab sweep` over a grid with an inadmissible entry, and one
 `explicit-lsvrg/<family> ...` pair per family from `sgdlab run` on a problem
 given as explicit JSON arrays (`matrices`/`offsets`, `features`/`labels`/
 `ridge`), which this tool generates with numpy.  The runs take 300 steps,
-more than one draw chunk, and record every step.  Last, one `verify/<case>
+more than one draw chunk, and record every step.  One more pair,
+`every-run-key/quadratic ...`, runs diana with rand_k (k = 1) on the
+generated quadratic with every [run] key set, none of them to "auto" or
+its default, so the config reader and the manifest writer of each key are
+digested too.  Last, one `verify/<case>
 stdout <sha256>` line per `sgdlab verify` case: DIANA with a Bernoulli
 compressor (q = 0.25, n = 10) at d = 20, where the assumption and compressor
 checks sample, and at d = 12, where they are exact, and lsvrg on each family.
@@ -60,6 +64,9 @@ ESTIMATORS = {
     "rcd": {"kind": "rcd"},
 }
 RUN = {"steps": "300", "trials": "5", "seed": "11", "record_every": "1"}
+EVERY_RUN_KEY = RUN | {"gamma": "0.01", "lyapunov_m": "40", "record_every": "7", "x0_radius": "0.5",
+                       "x0_mode": "min_curvature"}
+EVERY_RUN_KEY_ESTIMATOR = {"kind": "diana", "compressor": "rand_k", "k": "1"}
 SWEEP_ESTIMATOR = "lsvrg"
 SWEEP_GAMMAS = "0.05,0.01,0.002,100"  # the last entry is rejected
 DIANA_BERNOULLI = {"kind": "diana", "compressor": "bernoulli", "q": "0.25"}
@@ -90,9 +97,9 @@ def explicit_problems() -> dict[str, dict[str, str]]:
     }
 
 
-def write_config(path: Path, problem: dict, estimator: dict) -> None:
+def write_config(path: Path, problem: dict, estimator: dict, run: dict = RUN) -> None:
     config = configparser.ConfigParser(interpolation=None)
-    config["problem"], config["estimator"], config["run"] = problem, estimator, RUN
+    config["problem"], config["estimator"], config["run"] = problem, estimator, run
     with path.open("w") as fh:
         config.write(fh)
 
@@ -141,6 +148,12 @@ def digests(src: Path) -> list[str]:
             sgdlab(src, "run", "--config", str(case / "config.ini"), "--out", str(case), "--quiet")
             for output in ("trajectory.csv", "manifest"):
                 lines.append(f"explicit-{EXPLICIT_ESTIMATOR}/{family} {output} {sha256(case / output)}")
+        case = work / "every-run-key"
+        case.mkdir()
+        write_config(case / "config.ini", FAMILIES["quadratic"], EVERY_RUN_KEY_ESTIMATOR, EVERY_RUN_KEY)
+        sgdlab(src, "run", "--config", str(case / "config.ini"), "--out", str(case), "--quiet")
+        for output in ("trajectory.csv", "manifest"):
+            lines.append(f"every-run-key/quadratic {output} {sha256(case / output)}")
         for name, (problem, estimator, points) in VERIFY.items():
             case = work / f"verify-{name}"
             case.mkdir()
