@@ -71,12 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     loaded = parse_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        loaded.experiment.seed = args.seed
-    if args.trials is not None:
-        loaded.experiment.trials = args.trials
+    for key in ("seed", "trials"):
+        if getattr(args, key) is not None:
+            setattr(loaded.experiment, key, getattr(args, key))
+    try:
+        loaded.experiment.validate()
+    except ValueError as exc:  # the config was valid, so validate() names an option's field
+        raise ConfigError(f"--{exc}") from None
     return loaded
 
 
@@ -99,6 +100,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     loaded = _load(args)
     resolved = loaded.experiment.resolve()
     reports = []

@@ -11,6 +11,8 @@ Configs are flat INI documents with three sections:
     [run]        one key per field of ExperimentConfig after problem and
                  estimator, with its default (see parse_config_text)
 
+Every value is parsed by its field's annotation in one place (_value): an
+integer, a finite number or "auto" where that may be, a string, a JSON array.
 Unknown sections or keys are errors.  A manifest written by `sgdlab run` is
 itself a valid config (the extra [certificate] and [tool] sections are
 ignored on load), with every "auto" materialized to 17 significant digits so
@@ -54,7 +56,7 @@ _REQUIRED = inspect.Parameter.empty  # the default of a required key, as of a pa
 
 
 class _Section:
-    """One INI section with typed, consumed-key access."""
+    """One INI section with consumed-key access to its raw strings."""
 
     def __init__(self, name: str, values: dict[str, str]):
         self.name = name
@@ -73,57 +75,45 @@ class _Section:
             return default
         return self.values[key]
 
-    def get_int(self, key: str, default=None, auto: bool = False) -> int | str:
-        """An integer; with auto=True the literal 'auto' is returned as is."""
-        v = self.get_str(key, default)
-        if auto and v.strip() == "auto":
-            return "auto"
-        try:
-            return int(v)
-        except ValueError:
-            expected = "an integer or 'auto'" if auto else "an integer"
-            raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}") from None
-
-    def get_float(self, key: str, default=None, auto: bool = False) -> float | str:
-        """A number; with auto=True the literal 'auto' is returned as is."""
-        v = self.get_str(key, default)
-        if auto and v.strip() == "auto":
-            return "auto"
-        try:
-            value = float(v)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            expected = "a finite number or 'auto'" if auto else "a finite number"
-            raise ConfigError(f"[{self.name}] {key} must be {expected}, got {v!r}")
-        return value
-
-    def get_array(self, key: str, default=_REQUIRED) -> np.ndarray:
-        """A JSON array of numbers with a regular (not ragged) shape, as floats."""
-        v = self.get_str(key, default)
-        try:
-            return np.asarray(json.loads(v), dtype=float)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"[{self.name}] {key} is not valid JSON: {exc}") from None
-        except (TypeError, ValueError):
-            raise ConfigError(f"[{self.name}] {key} must be an array of numbers with a regular shape") from None
-
     def reject_unknown(self) -> None:
         unknown = set(self.values) - self.seen
         if unknown:
             raise ConfigError(f"[{self.name}] has unknown keys: {', '.join(sorted(unknown))}")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# each field annotation's parser of a config string and the error that names what the string must be;
+# an array's error quotes no value, which can be any size
+_PARSERS = {
+    "int": (int, "must be an integer{auto}, got {text!r}"),
+    "float": (_finite, "must be a finite number{auto}, got {text!r}"),
+    "str": (str, ""),
+    "np.ndarray": (lambda text: np.asarray(json.loads(text), dtype=float),
+                   "must be an array of numbers with a regular shape"),
+}
+
+
 def _value(section: _Section, annotation: str, key: str, default=_REQUIRED):
-    """The value of key read by a (string) annotation: a float, an int, a str or a JSON array.  A number annotated
-    `| str` or `| None` may be 'auto', which, like a missing key, reads as default (the field's auto value)."""
-    number, _, auto = annotation.partition(" | ")
-    read = {"float": section.get_float, "int": section.get_int, "str": section.get_str,
-            "np.ndarray": section.get_array}[number]
-    if not auto:
-        return read(key, default)
-    value = read(key, "auto", auto=True)
-    return default if value == "auto" else value
+    """The value of key, parsed by its (string) annotation's _PARSERS entry; a missing key is default as it is.
+    A number annotated `| str` or `| None` may be 'auto', which also reads as default (the field's auto value)."""
+    kind, _, auto = annotation.partition(" | ")
+    text = section.get_str(key, default)
+    if not section.has(key) or auto and text.strip() == "auto":
+        return default
+    parse, error = _PARSERS[kind]
+    try:
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"[{section.name}] {key} is not valid JSON: {exc}") from None
+    except (TypeError, ValueError):
+        error = error.format(auto=" or 'auto'" if auto else "", text=text)
+        raise ConfigError(f"[{section.name}] {key} {error}") from None
 
 
 def _lookup(registry: dict[str, type], what: str, name: str, section: _Section) -> type:

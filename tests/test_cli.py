@@ -556,19 +556,23 @@ def test_non_finite_input_is_a_one_line_config_error(tmp_path, capsys, old, new)
 
 
 @pytest.mark.parametrize(
-    "conf, extra, key",
+    "conf, args, key",
     [
-        (LSVRG_CONF.replace("seed = 11", "seed = -1"), [], "[run] seed"),
-        (LSVRG_CONF.replace("seed = 7", "seed = -1"), [], "[problem] seed"),
-        (LSVRG_CONF, ["--seed", "-1"], "--seed"),
-        (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", "[[[1.0, 0.0], [0.0]]]"), [], "[problem] matrices"),
-        (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", '"x"'), [], "[problem] matrices"),
+        (LSVRG_CONF.replace("seed = 11", "seed = -1"), ["run"], "[run] seed"),
+        (LSVRG_CONF.replace("seed = 7", "seed = -1"), ["run"], "[problem] seed"),
+        (LSVRG_CONF, ["run", "--seed", "-1"], "--seed"),
+        (LSVRG_CONF, ["run", "--trials", "0"], "--trials"),
+        (LSVRG_CONF, ["verify", "--points", "0"], "--points"),
+        (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", "[[[1.0, 0.0], [0.0]]]"), ["run"], "[problem] matrices"),
+        (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", '"x"'), ["run"], "[problem] matrices"),
     ],
-    ids=["negative-run-seed", "negative-problem-seed", "negative-seed-option", "ragged-matrices", "string-matrices"],
+    ids=["negative-run-seed", "negative-problem-seed", "negative-seed-option", "zero-trials-option",
+         "zero-points-option", "ragged-matrices", "string-matrices"],
 )
-def test_malformed_input_is_a_one_line_error_naming_the_key(tmp_path, capsys, conf, extra, key):
+def test_malformed_input_is_a_one_line_error_naming_the_key(tmp_path, monkeypatch, capsys, conf, args, key):
     cfg = write(tmp_path, conf)
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet", *extra]) == 2
+    monkeypatch.chdir(tmp_path)  # where `run` would write its outputs
+    assert cli.main([args[0], "--config", cfg, "--quiet", *args[1:]]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {key} must be ")
 
@@ -800,6 +804,21 @@ def test_verify_passes_noisy_gd_at_its_floor_with_one_trial(tmp_path, capsys):
     """At d = 1 and gamma mu = 1, E[V_k] equals the bound's floor from k = 1 on, and one trial has no error estimate."""
     conf = "[problem]\nfamily = quadratic\nn = 4\nd = 1\nseed = 0\n[estimator]\nkind = noisy_gd\nsigma = 0.1\n"
     assert cli.main(["verify", "--config", write(tmp_path, conf), "--trials", "1", "--quiet"]) == 0
+
+
+# generated sgd with no [run] section: one trial of 1000 steps
+DEFAULT_RUN_SGD = "[problem]\nfamily = quadratic\nn = 10\nd = 5\nseed = 0\n[estimator]\nkind = sgd\n"
+
+
+@pytest.mark.xfail(strict=True, reason=BOUND_FOUND_REASON)
+def test_verify_passes_sgd_with_the_default_run(tmp_path, capsys):
+    """One trajectory at its floor exceeds 1.1 x floor at some k, and one trial has no standard error: verify
+    prints FAIL bound_domination checks=8 worst=bound[k=972] margin=-2.357870e-01."""
+    assert cli.main(["verify", "--config", write(tmp_path, DEFAULT_RUN_SGD), "--quiet"]) == 0
+
+
+def test_verify_passes_sgd_with_the_default_run_at_20_trials(tmp_path, capsys):
+    assert cli.main(["verify", "--config", write(tmp_path, DEFAULT_RUN_SGD), "--trials", "20", "--quiet"]) == 0
 
 
 def test_verify_passes_gd_where_the_gradient_underflows(tmp_path, capsys):

@@ -249,6 +249,8 @@ def test_dropping_a_required_problem_key_is_a_one_line_error_naming_it(keys, key
          "[problem] seed must be a non-negative integer, got -1"),
         ({"family": "quadratic", "n": "4", "d": "2", "eig_lo": "3", "eig_hi": "1"},
          "[problem] need 0 < eig_lo <= eig_hi"),
+        ({"family": "quadratic", "matrices": "nope", "offsets": "[[0, 0]]"},
+         "[problem] matrices is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ({"family": "quadratic", "matrices": "[[[1, 1], [0, 1]]]", "offsets": "[[0, 0]]"},
          "[problem] component matrices not symmetric (max |A - A'| = 1)"),
         ({"family": "logistic", "features": "[[1, 0]]", "labels": "[0]", "ridge": "0.1"},
@@ -257,7 +259,7 @@ def test_dropping_a_required_problem_key_is_a_one_line_error_naming_it(keys, key
         ({"family": "logistic", "features": "[[1, 0]]", "labels": "[1]", "ridge": "0.1", "seed": "1"},
          "[problem] has unknown keys: seed"),
     ],
-    ids=["unknown-family", "quadratic-seed", "logistic-seed", "spectrum", "asymmetric", "labels",
+    ids=["unknown-family", "quadratic-seed", "logistic-seed", "spectrum", "invalid-json", "asymmetric", "labels",
          "generated-unknown-key", "explicit-unknown-key"],
 )
 def test_a_bad_problem_section_is_one_line_naming_the_key_or_the_families(keys, text):
