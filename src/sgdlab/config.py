@@ -111,7 +111,7 @@ def _value(section: _Section, annotation: str, key: str, default=_REQUIRED):
         return parse(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"[{section.name}] {key} is not valid JSON: {exc}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON integer beyond float range
         error = error.format(auto=" or 'auto'" if auto else "", text=text)
         raise ConfigError(f"[{section.name}] {key} {error}") from None
 

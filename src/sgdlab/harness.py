@@ -49,7 +49,7 @@ default_rng([seed, 2, 2**34]), in blocks per (rows, n, d) array, and each
 block serves every point of a group in turn.  A group holds DRAW_BYTES of
 points, as (n, d) arrays, so point j's numbers depend on neither num_points
 nor the grouping.  The compressor check draws one mask per replica, in
-blocks per (rows, probes, d) array, and applies it to every probe.  Both
+blocks per (probes, rows, d) array, and applies it to every probe.  Both
 checks sample only above the compressor's sampled_above (Bernoulli: 16).
 
 Stream layout 3 is the layout above.
@@ -136,6 +136,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.steps >= 2**63:  # the recorded iterations are int64
+            raise ValueError(f"steps must be < 2**63, got {self.steps}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -591,8 +593,8 @@ def verify_assumption(
     for start in range(0, num_points, group):
         js = range(start, min(num_points, start + group))
         points = [explore(j) for j in js]
-        sampled = [(sp, xp) for xp, sp, _, lhs in points if lhs is None]
-        moments = iter(_mc_moments(estimator, problem, constants, sampled, seed, samples_per_point))
+        sampled_points = [(sp, xp) for xp, sp, _, lhs in points if lhs is None]
+        moments = iter(_mc_moments(estimator, problem, constants, sampled_points, seed, samples_per_point))
         for j, (_, _, sides, lhs) in zip(js, points):
             exact = lhs is not None
             # left-hand sides as (value, standard error)
@@ -651,24 +653,27 @@ def _compression_moments(compressor, X: np.ndarray, rng, samples: int) -> tuple[
     """Sample means and standard errors of (Q(x) - x, ||Q(x) - x||^2) for each row x of X.
 
     Streams like _mc_moments: every row is compressed `samples` times with
-    the same draws (common random numbers), one compressor.draw(rng, (rows,
-    1), d) per block of DRAW_BYTES per (rows, probes, d) array.  Returns two
-    (probes, d + 1) arrays; column d is the squared error.
+    the same draws (common random numbers), one compressor.draw(rng, (1,
+    rows), d) per block of DRAW_BYTES per (probes, rows, d) array, which
+    takes the numbers of a (rows, 1) draw: the stream fills it in C order.
+    Blocks and chunks are probe-major, so each probe's errors are contiguous.
+    Returns two (probes, d + 1) arrays; column d is the squared error.
     """
     probes, d = X.shape
     row_bytes = 8 * probes * d
     block, chunk = max(1, DRAW_BYTES // row_bytes), max(1, REPLICA_BYTES // row_bytes)
     mean, m2 = np.zeros((2, probes, d + 1))
     values = np.empty((probes, d + 1, min(block, samples)))
+    X = X[:, None, :]
     for first in range(0, samples, block):
         size = min(block, samples - first)
-        masks = compressor.draw(rng, (size, 1), d)
+        masks = compressor.draw(rng, (1, size), d)
         for lo in range(0, size, chunk):
             hi = min(size, lo + chunk)
-            E = compressor.apply(X, masks[lo:hi])
+            E = compressor.apply(X, masks[:, lo:hi])
             E -= X
-            values[:, :d, lo:hi] = E.transpose(1, 2, 0)
-            einsum("rpd,rpd->pr", E, E, out=values[:, d, lo:hi])
+            values[:, :d, lo:hi] = E.transpose(0, 2, 1)
+            einsum("prd,prd->pr", E, E, out=values[:, d, lo:hi])
         _merge(mean, m2, first, values[..., :size])
     return mean, np.sqrt(m2 / ((samples - 1) * samples))
 

@@ -176,7 +176,7 @@ def test_sampled_compressor_moments_do_not_depend_on_the_replica_chunk(d, seed, 
             mean, se = harness._compression_moments(comp, X, np.random.default_rng([seed, 1]), samples)
         return mean.tobytes(), se.tobytes()
 
-    row_bytes = 8 * X.size  # one row of a (rows, probes, d) float array
+    row_bytes = 8 * X.size  # one row of a (probes, rows, d) float array
     assert moments(chunk * row_bytes) == moments(harness.REPLICA_BYTES)
 
 

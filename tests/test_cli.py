@@ -565,9 +565,11 @@ def test_non_finite_input_is_a_one_line_config_error(tmp_path, capsys, old, new)
         (LSVRG_CONF, ["verify", "--points", "0"], "--points"),
         (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", "[[[1.0, 0.0], [0.0]]]"), ["run"], "[problem] matrices"),
         (ISOTROPIC_GD.replace("[[[1.0, 0.0], [0.0, 1.0]]]", '"x"'), ["run"], "[problem] matrices"),
+        (ISOTROPIC_GD.replace("[[[1.0, 0.0]", "[[[1" + "0" * 400 + ", 0.0]"), ["run"], "[problem] matrices"),
+        (ISOTROPIC_GD.replace("steps = 40", "steps = 1" + "0" * 30), ["run"], "[run] steps"),
     ],
     ids=["negative-run-seed", "negative-problem-seed", "negative-seed-option", "zero-trials-option",
-         "zero-points-option", "ragged-matrices", "string-matrices"],
+         "zero-points-option", "ragged-matrices", "string-matrices", "float-overflowing-matrices", "int64-overflowing-steps"],
 )
 def test_malformed_input_is_a_one_line_error_naming_the_key(tmp_path, monkeypatch, capsys, conf, args, key):
     cfg = write(tmp_path, conf)

@@ -50,6 +50,16 @@ def test_bernoulli_keep_all_is_degenerate():
         np.testing.assert_array_equal(row, x)
 
 
+def test_bernoulli_drops_a_coordinate_as_a_signed_zero():
+    """apply multiplies x/q by its mask: a dropped x < 0 is -0.0, a dropped non-finite x/q is NaN."""
+    keep = np.array([True, False, False, False])
+    with np.errstate(invalid="ignore"):
+        out = BernoulliScale(q=0.5).apply(np.array([-1.0, -1.0, 2.0, np.inf]), keep)
+    np.testing.assert_array_equal(out[:3], [-2.0, 0.0, 0.0])
+    assert np.signbit(out[:3]).tolist() == [True, True, False]
+    assert np.isnan(out[3])
+
+
 def test_bernoulli_two_outcome_enumeration():
     # q=0.5, d=1, x=(2): outcomes (4) and (0) each w.p. 1/2
     comp = BernoulliScale(q=0.5)

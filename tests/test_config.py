@@ -143,6 +143,7 @@ BAD_RUN = [
     ("lyapunov_m", "nan", "must be a finite number or 'auto', got 'nan'"),
     ("steps", "2.5", "must be an integer, got '2.5'"),
     ("steps", "-1", "must be >= 0, got -1"),
+    ("steps", "1" + "0" * 30, "must be < 2**63, got 1" + "0" * 30),
     ("trials", "many", "must be an integer, got 'many'"),
     ("trials", "0", "must be >= 1, got 0"),
     ("seed", "-1", "must be a non-negative integer, got -1"),
@@ -251,6 +252,8 @@ def test_dropping_a_required_problem_key_is_a_one_line_error_naming_it(keys, key
          "[problem] need 0 < eig_lo <= eig_hi"),
         ({"family": "quadratic", "matrices": "nope", "offsets": "[[0, 0]]"},
          "[problem] matrices is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ({"family": "quadratic", "matrices": "[[[1" + "0" * 400 + ", 0], [0, 1]]]", "offsets": "[[0, 0]]"},
+         "[problem] matrices must be an array of numbers with a regular shape"),
         ({"family": "quadratic", "matrices": "[[[1, 1], [0, 1]]]", "offsets": "[[0, 0]]"},
          "[problem] component matrices not symmetric (max |A - A'| = 1)"),
         ({"family": "logistic", "features": "[[1, 0]]", "labels": "[0]", "ridge": "0.1"},
@@ -259,7 +262,7 @@ def test_dropping_a_required_problem_key_is_a_one_line_error_naming_it(keys, key
         ({"family": "logistic", "features": "[[1, 0]]", "labels": "[1]", "ridge": "0.1", "seed": "1"},
          "[problem] has unknown keys: seed"),
     ],
-    ids=["unknown-family", "quadratic-seed", "logistic-seed", "spectrum", "invalid-json", "asymmetric", "labels",
+    ids=["unknown-family", "quadratic-seed", "logistic-seed", "spectrum", "invalid-json", "float-overflow", "asymmetric", "labels",
          "generated-unknown-key", "explicit-unknown-key"],
 )
 def test_a_bad_problem_section_is_one_line_naming_the_key_or_the_families(keys, text):

@@ -86,6 +86,41 @@ def test_a_kernel_fault_fails_some_report_of_verify(est):
     assert not all(report.passed for report in reports), [report.summary() for report in reports]
 
 
+class WhereBernoulli(BernoulliScale):
+    """The reference Bernoulli apply: a dropped coordinate is selected as +0.0 by np.where."""
+
+    def apply(self, X, draws):
+        return np.where(draws, X / self.q, 0.0)
+
+
+WHERE_PROBLEMS = {"quadratic": random_quadratic, "logistic": random_logistic}
+
+
+@pytest.mark.parametrize("d", [3, 12, 20])
+@pytest.mark.parametrize("family", sorted(WHERE_PROBLEMS))
+@pytest.mark.parametrize("q", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("kind", [DIANA, CDGD], ids=["diana", "cdgd"])
+def test_bernoulli_apply_gives_every_bit_of_the_where_reference(kind, q, family, d):
+    """The mask product keeps a -0.0 where np.where gave +0.0; no output of a run or of verify sees it.
+
+    The runs take more than one draw chunk and record every step; verify is
+    exact at d = 12 and sampled at d = 20, above Bernoulli's sampled_above.
+    """
+    prob = WHERE_PROBLEMS[family](8, d, seed=d)
+    cons = compute_constants(prob)
+    runs, lines = [], []
+    for comp in (BernoulliScale(q=q), WhereBernoulli(q=q)):
+        est = kind(compressor=comp)
+        config = ExperimentConfig(problem=prob, estimator=est, steps=300, trials=3, seed=7, record_every=1)
+        stats = run_monte_carlo(config)
+        runs.append([stats.mean_V.tobytes(), stats.std_V.tobytes(), stats.mean_sigma_sq.tobytes()])
+        if d > 3:
+            reports = [verify_compressor(comp, d, seed=3), verify_assumption(prob, cons, est, num_points=3, seed=3)]
+            lines.append([line for report in reports for line in report.lines()])
+    assert runs[0] == runs[1]
+    assert lines[:1] == lines[1:]
+
+
 def test_gd_trajectory_dominated_by_geometric_decay():
     prob = random_quadratic(1, 6, eig_lo=1.0, eig_hi=10.0, shift_scale=1.0, seed=2)
     cfg = ExperimentConfig(
@@ -424,7 +459,7 @@ def test_sampled_compressor_check_catches_halved_omega():
 def test_sampled_compressor_check_matches_one_shot_moments(comp, d):
     """Chunked compressions with merged moments give the margins of all 10^5 compressions at once.
 
-    Each block of DRAW_BYTES per (rows, probes, d) array takes one draw,
+    Each block of DRAW_BYTES per (probes, rows, d) array takes one draw,
     concatenated here, that every probe shares.
     """
     samples, omega = 10**5, comp.omega(d)
