@@ -128,8 +128,35 @@ def test_lsvrg_auto_gamma_in_manifest(tmp_path):
     assert gamma == pytest.approx(1.0 / (6.0 * L_max), rel=1e-12)
 
 
-def test_manifest_roundtrip_reproduces_csv(tmp_path):
-    cfg = write(tmp_path, LSVRG_CONF)
+# each problem family loaded from the explicit arrays its class declares
+EXPLICIT_ARRAYS = {
+    "quadratic": "matrices = [[[2, 0.5], [0.5, 1]], [[1, 0], [0, 3]]]\noffsets = [[1, 0], [0, -1]]",
+    "logistic": "features = [[1, 2], [-1, 0.5], [0.3, -2]]\nlabels = [1, -1, 1]\nridge = 0.1",
+}
+EXPLICIT_LSVRG = """
+[problem]
+family = {family}
+{arrays}
+
+[estimator]
+kind = lsvrg
+p = 0.5
+
+[run]
+steps = 50
+trials = 2
+"""
+ROUNDTRIP_CONFS = {
+    "generated-quadratic": LSVRG_CONF,
+    **{f"explicit-{family}": EXPLICIT_LSVRG.format(family=family, arrays=arrays)
+       for family, arrays in EXPLICIT_ARRAYS.items()},
+}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_CONFS)
+def test_manifest_roundtrip_reproduces_csv(tmp_path, name):
+    assert sorted(EXPLICIT_ARRAYS) == sorted(PROBLEMS), "every problem family needs an explicit case"
+    cfg = write(tmp_path, ROUNDTRIP_CONFS[name])
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["run", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
     assert (

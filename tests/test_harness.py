@@ -374,8 +374,8 @@ def test_rand_k_is_exact_above_any_subset_count():
         assert abs(row[d] - mse) <= 4.0 * row_se[d] + 1e-12 * mse, (row[d], mse, row_se[d])
 
 
-@pytest.mark.parametrize("d,exact", [(16, True), (17, False)])
-def test_verify_samples_bernoulli_above_its_enumeration_limit(d, exact):
+@pytest.mark.parametrize("d,exact", [(16, True), (17, False), (20, False)])
+def test_verify_samples_bernoulli_only_above_its_sampled_above(d, exact):
     """The boundary the benchmark's verify_diana workload relies on: exact at d = 12, sampled at d = 20."""
     comp = BernoulliScale(q=0.25)
     prob = random_quadratic(4, d, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=56)
@@ -391,7 +391,7 @@ def test_verify_samples_bernoulli_above_its_enumeration_limit(d, exact):
 def test_sampled_verifier_on_diana_bernoulli():
     prob = random_quadratic(6, 17, eig_lo=1.0, eig_hi=3.0, shift_scale=1.0, seed=43)
     cons = compute_constants(prob)
-    est = DIANA(compressor=BernoulliScale(q=0.4))  # 2^17 keep-masks: not enumerated
+    est = DIANA(compressor=BernoulliScale(q=0.4))  # d = 17 is above sampled_above: sampled
     report = verify_assumption(prob, cons, est, num_points=4, samples_per_point=2000, seed=44)
     assert report.passed, "\n".join(report.lines())
     assert {c.name.split("[")[0] for c in report.checks} == {"second_moment", "sigma_recursion"}
