@@ -23,7 +23,7 @@ in place.  Draw order per kind (m entries each, in this order):
 
     gd                  nothing
     sgd, sgd_star       rng.integers(n, size=m)
-    lsvrg               rng.integers(n, size=m), then rng.random(m)
+    lsvrg               rng.integers(n, size=m), then rng.random(m) < p (the refresh mask)
     noisy_gd            rng.standard_normal((m, d))
     rcd                 rng.integers(d, size=m)
     cdgd, diana         the compressor's draw for shape (m, n)
@@ -275,7 +275,7 @@ class LSVRG(Estimator):
 
     The reference point w is refreshed to the current iterate with probability
     p each step.  A draw of m steps takes the m component indices first and
-    the m refresh coins second, from the same stream.
+    then the refresh mask random(m) < p, from the same stream.
     """
 
     p: float = 0.1
@@ -288,24 +288,24 @@ class LSVRG(Estimator):
             raise ValueError(f"refresh probability p must be in (0, 1], got {self.p}")
 
     def init_state(self, problem, constants, x0):
-        shifts = problem.component_grads(x0)
-        return EstimatorState(shift_quality(shifts, constants), shifts, problem.full_grads(x0))
+        shifts, mean = problem.component_and_full_grads(x0)
+        return EstimatorState(shift_quality(shifts, constants), shifts, mean)
 
     def draw(self, problem, rng, m):
-        return rng.integers(problem.n, size=m), rng.random(m)
+        return rng.integers(problem.n, size=m), rng.random(m) < self.p
 
     def step(self, problem, constants, X, state, draws):
-        i, coin = draws
+        i, refresh = draws
         G = problem.grad_i(i, X)
         G -= state.shifts[state.rows, i]
         G += state.shift_mean
-        hit = (coin < self.p).nonzero()[0]
+        hit = refresh.nonzero()[0]
         if hit.size:
             # re-anchor the hit rows at their iterates; a one-row X is shared by every row
-            W = X if len(X) == 1 else X[hit]
-            shifts = state.shifts[hit] = problem.component_grads(W)
+            W = X if len(X) == 1 else X.take(hit, axis=0)
+            shifts, state.shift_mean[hit] = problem.component_and_full_grads(W)
+            state.shifts[hit] = shifts
             state.sigma_sq[hit] = shift_quality(shifts, constants)
-            state.shift_mean[hit] = problem.full_grads(W)
         return G
 
     def certificate(self, problem, constants):

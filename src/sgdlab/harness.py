@@ -142,7 +142,7 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.x0_radius < 0:
+        if not self.x0_radius >= 0:  # written as not (...) so that NaN is rejected
             raise ValueError(f"x0_radius must be >= 0, got {self.x0_radius}")
         if self.x0_mode not in ("random", "min_curvature"):
             raise ValueError(f"x0_mode must be 'random' or 'min_curvature', got {self.x0_mode!r}")

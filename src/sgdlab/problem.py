@@ -58,9 +58,17 @@ class FiniteSumProblem:
 
     def full_grads(self, X: np.ndarray) -> np.ndarray:
         """Full gradient at every row of X (..., d), fixed reduction order."""
-        g = einsum("...nd->...d", self.component_grads(X))
+        return self.component_and_full_grads(X)[1]
+
+    def component_and_full_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(component_grads(X), full_grads(X)) bit for bit, from one evaluation: shapes (..., n, d) and (..., d).
+
+        The two may be views of one new array.
+        """
+        G = self.component_grads(X)
+        g = einsum("...nd->...d", G)
         g /= self.n
-        return g
+        return G, g
 
     def component_grads(self, x: np.ndarray) -> np.ndarray:
         """All component gradients: (n, d) at one point, (..., n, d) at a batch (..., d)."""
@@ -107,9 +115,12 @@ class QuadraticSum(FiniteSumProblem):
         skew = np.abs(self.A - self.A.transpose(0, 2, 1)).max()
         if skew > SYMMETRY_ATOL:
             raise ProblemError(f"component matrices not symmetric (max |A - A'| = {skew:g})")
-        # cached averages for fast objective and full-gradient evaluation
-        self._A_mean = self.A.sum(axis=0) / self.n
-        self._b_mean = self.b.sum(axis=0) / self.n
+        # [A_1..A_n, mean] and [b_1..b_n, mean] stacked, so that one contraction gives the component and
+        # full gradients; A, b and the cached means for the objective and full gradient are views of them
+        self._A_all = np.concatenate([self.A, (self.A.sum(axis=0) / self.n)[None]])
+        self._b_all = np.concatenate([self.b, (self.b.sum(axis=0) / self.n)[None]])
+        self.A, self._A_mean = self._A_all[: self.n], self._A_all[self.n]
+        self.b, self._b_mean = self._b_all[: self.n], self._b_all[self.n]
 
     def grad_i(self, i, x: np.ndarray) -> np.ndarray:
         if isinstance(i, slice):
@@ -128,6 +139,12 @@ class QuadraticSum(FiniteSumProblem):
         g = einsum("ij,...j->...i", self._A_mean, X)
         g -= self._b_mean
         return g
+
+    def component_and_full_grads(self, X):
+        # the stack's last row contracts like full_grads and its others like grad_i (see README)
+        Y = einsum("...ij,...j->...i", self._A_all, np.asarray(X)[..., None, :])
+        Y -= self._b_all
+        return Y[..., : self.n, :], Y[..., self.n, :]
 
     def family_constants(self):
         """Eigenvalues of the component and average matrices; x* through the average's eigendecomposition."""

@@ -42,6 +42,11 @@ def _check_M(cert: Certificate, M: float) -> None:
     # written as not (...) so that NaN, which fails every comparison, is rejected
     if not M >= 0:
         raise StepsizeError(f"Lyapunov weight M must be >= 0, got {M}")
+    if M == np.inf:  # else max_stepsize is 0 and the run rejects that stepsize, not this weight
+        raise StepsizeError(
+            f"Lyapunov weight M must be finite, got inf (the auto M = 2B/rho is {default_M(cert):g}"
+            f" at B = {cert.B:g}, rho = {cert.rho:g})"
+        )
     if cert.B > 0 and not M * cert.rho > cert.B:
         raise StepsizeError(f"need M > B/rho = {cert.B / cert.rho:g}, got M = {M:g}")
 

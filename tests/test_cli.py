@@ -439,6 +439,42 @@ def test_sweep_rejects_every_gamma_when_no_stepsize_admits_the_lyapunov_weight(t
     assert out.count("rejected: need M > B/rho") == 3
 
 
+OVERFLOWING_WEIGHT = """
+[problem]
+family = quadratic
+n = 4
+d = 3
+
+[estimator]
+{estimator}
+
+[run]
+steps = 10
+"""
+
+
+@pytest.mark.parametrize(
+    "estimator", ["kind = lsvrg\np = 1e-320", "kind = diana\nalpha = 1e-320"], ids=["lsvrg", "diana"]
+)
+def test_an_overflowing_auto_lyapunov_weight_is_one_error_naming_the_weight(tmp_path, capsys, estimator):
+    # the auto M = 2B/rho is inf, which admits only gamma = 0: the error names M, not the stepsize
+    cfg = write(tmp_path, OVERFLOWING_WEIGHT.format(estimator=estimator))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: Lyapunov weight M must be finite, got inf (the auto M = 2B/rho is inf at B = ")
+    assert "rho = 9.99989e-321" in err
+
+
+def test_sweep_rejects_every_gamma_when_the_auto_lyapunov_weight_overflows(tmp_path):
+    cfg = write(tmp_path, OVERFLOWING_WEIGHT.format(estimator="kind = lsvrg\np = 1e-320"))
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), "--quiet", "--gammas", "0.1,0.01"]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.10000000000000001", "0.01"]
+    for row in rows:
+        assert ",,,rejected: Lyapunov weight M must be finite, got inf (the auto M = 2B/rho is inf" in row
+
+
 def test_sweep_equals_a_loop_of_runs(tmp_path, capsys):
     """One kernel call for the grid gives what one `run` per stepsize gives, byte for byte."""
     grid = ["0.05", "9.0", "0.025", "nan", "0.0125", "0.05"]

@@ -225,20 +225,26 @@ def _replay_layout_v2(est, shadow_chunk, check_step, trial=3, seed=1234):
 
 
 def test_lsvrg_randomness_order_index_then_coin():
-    # stream layout 2: a chunk draws all of its component indices, then all of its refresh coins
+    # stream layout 2: a chunk draws all of its component indices, then all of its refresh coins,
+    # which it thresholds once into the refresh mask random(c) < p
     est = LSVRG(p=0.5)
-    chunk = lambda shadow: (shadow.integers(PROBLEM.n, size=STREAM_CHUNK), shadow.random(STREAM_CHUNK))
+    chunk = lambda shadow: (shadow.integers(PROBLEM.n, size=STREAM_CHUNK), shadow.random(STREAM_CHUNK) < est.p)
+    i, refresh = est.draw(PROBLEM, np.random.default_rng(5), STREAM_CHUNK)
+    shadow_i, shadow_refresh = chunk(np.random.default_rng(5))
+    np.testing.assert_array_equal(i, shadow_i)
+    assert refresh.dtype == bool
+    np.testing.assert_array_equal(refresh, shadow_refresh)
     refreshes = []
 
     def check_step(draws, x, before, g, after):
-        i, coin = int(draws[0]), draws[1] < est.p
+        i, refresh = int(draws[0]), bool(draws[1])
         expected = PROBLEM.grad_i(i, x) - before.shifts[i] + before.shift_mean
         np.testing.assert_array_equal(g, expected)
         # a refresh re-anchors the shift table at the current iterate
-        np.testing.assert_array_equal(after.shifts, PROBLEM.component_grads(x) if coin else before.shifts)
-        mean = PROBLEM.eval_full_grad(x) if coin else before.shift_mean
+        np.testing.assert_array_equal(after.shifts, PROBLEM.component_grads(x) if refresh else before.shifts)
+        mean = PROBLEM.eval_full_grad(x) if refresh else before.shift_mean
         np.testing.assert_array_equal(after.shift_mean, mean)
-        refreshes.append(coin)
+        refreshes.append(refresh)
 
     _replay_layout_v2(est, chunk, check_step)
     assert 0 < sum(refreshes) < len(refreshes)

@@ -53,11 +53,11 @@ class HalfScaleBernoulli(BernoulliScale):
 
 
 class NeverRefreshLSVRG(LSVRG):
-    """LSVRG whose refresh coin never comes up, so its reference point stays at x0."""
+    """LSVRG whose refresh mask is never set, so its reference point stays at x0."""
 
     def draw(self, problem, rng, m):
-        i, coin = super().draw(problem, rng, m)
-        return i, np.ones_like(coin)
+        i, refresh = super().draw(problem, rng, m)
+        return i, np.zeros_like(refresh)
 
 
 KERNEL_XFAIL = pytest.mark.xfail(
@@ -766,6 +766,15 @@ def test_config_validation_errors():
         ExperimentConfig(problem=HET, estimator=FullGradient(), x0_mode="nope").validate()
     with pytest.raises(ValueError, match="gamma"):
         ExperimentConfig(problem=HET, estimator=FullGradient(), gamma="fast").validate()
+
+
+def test_nan_x0_radius_is_rejected_by_name():
+    # NaN fails every comparison, so a check written as x0_radius < 0 let it start the run
+    cfg = ExperimentConfig(problem=HET, estimator=FullGradient(), x0_radius=float("nan"))
+    with pytest.raises(ValueError, match="x0_radius must be >= 0, got nan"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="x0_radius must be >= 0, got nan"):
+        run_monte_carlo(cfg)
 
 
 def test_negative_seed_is_rejected_by_name():

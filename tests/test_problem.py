@@ -280,3 +280,17 @@ def test_nan_optimum_fails_the_certificate(monkeypatch):
 def test_rejects_non_finite_input(make):
     with pytest.raises(ProblemError, match="finite"):
         make()
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@pytest.mark.parametrize("d", [1, 5, 20, 33])
+def test_component_and_full_grads_equal_the_two_calls_bit_for_bit(family, d):
+    problem = random_quadratic(7, d, seed=d) if family == "quadratic" else random_logistic(7, d, ridge=0.1, seed=d)
+    rng = np.random.default_rng(d)
+    for shape in [(d,), (1, d), (6, d)]:
+        for scale in (1e-3, 1.0, 1e3):
+            X = scale * rng.standard_normal(shape)
+            G, g = problem.component_and_full_grads(X)
+            expected_G, expected_g = problem.component_grads(X), problem.full_grads(X)
+            assert G.shape == expected_G.shape and g.shape == expected_g.shape
+            assert G.tobytes() == expected_G.tobytes() and g.tobytes() == expected_g.tobytes()

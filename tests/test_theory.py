@@ -1,5 +1,7 @@
 """Bound evaluation: admissible stepsizes, contraction/floor, recursion oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,15 @@ def test_invalid_lyapunov_weight_rejected():
         max_stepsize(cert, 1.0, float("nan"))
     with pytest.raises(StepsizeError, match="M must be >= 0, got nan"):
         bound_curve(gd_cert(4.0), 1.0, 0.1, float("nan"), 1.0)
+
+
+def test_an_overflowing_auto_lyapunov_weight_is_rejected_as_the_weight():
+    # rho = 1e-320 makes the auto weight 2B/rho overflow; max_stepsize would then be 1/(A + C inf) = 0
+    cert = lsvrg_cert(3.0, 1e-320)
+    M = default_M(cert)
+    assert M == math.inf
+    with pytest.raises(StepsizeError, match=r"M must be finite, got inf \(the auto M = 2B/rho is inf at B = 2, rho = "):
+        max_stepsize(cert, 1.0, M)
 
 
 def test_full_stepsize_edge_gives_zero_contraction():
