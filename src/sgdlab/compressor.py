@@ -4,12 +4,13 @@ Every compressor Q satisfies E[Q(x)] = x and E||Q(x) - x||^2 <= omega ||x||^2.
 Compression is split in two: draw takes the randomness for a whole array of
 vectors from a generator in a fixed order, and apply compresses each vector
 with its share of it, so apply(X, draw(rng, X.shape[:-1], d)) compresses
-every row of X independently.  apply broadcasts X against the leading shape
-of draws, so one vector shared by many draws is never tiled.  Draws work
-through one reused buffer of DRAW_BUFFER_BYTES: Bernoulli fills its keep mask
-in blocks of rows, and rng.random fills rows in C order, so the stream is the
-one of a single rng.random(shape + (d,)) call; rand_k runs its shuffle on
-blocks of rows of a (rows, d) index table, never on a table for all vectors.
+every row of X independently.  A random compressor's draw is its keep mask,
+shape + (d,), and apply multiplies the scaled X by it; apply broadcasts X
+against the leading shape of draws, so one vector shared by many draws is
+never tiled.  Bernoulli fills its mask in blocks of rows through one reused
+buffer of DRAW_BUFFER_BYTES, and rng.random fills rows in C order, so the
+stream is the one of a single rng.random(shape + (d,)) call; rand_k reads
+its kept coordinates off the swap targets of its shuffle.
 
 Both exact moments are sums over coordinates, and each compressor keeps a
 coordinate, scaled by s, with one probability p and drops it otherwise:
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DRAW_BUFFER_BYTES = 2**17  # uniforms of a Bernoulli draw, or rand_k index table, held at a time
+DRAW_BUFFER_BYTES = 2**17  # uniforms of a Bernoulli draw held at a time
 
 
 class Compressor:
@@ -102,9 +103,9 @@ class Identity(Compressor):
 class RandK(Compressor):
     """Keep a uniformly random k-subset of coordinates, rescaled by d/k.
 
-    omega = d/k - 1.  The subset is drawn by a k-step Fisher-Yates partial
-    shuffle so that the draw sequence is fixed given the stream: step j draws
-    rng.integers(j, d) for every vector at once.
+    omega = d/k - 1.  The subset is the first k positions of a k-step partial
+    Fisher-Yates shuffle of 0..d-1, so the draw sequence is fixed given the
+    stream: swap j draws rng.integers(j, d) for every vector at once.
     """
 
     k: int
@@ -120,35 +121,32 @@ class RandK(Compressor):
         return d / self.k - 1.0
 
     def draw(self, rng: np.random.Generator, shape: tuple[int, ...], d: int) -> np.ndarray:
-        """The kept coordinates, shape + (k,).
+        """The keep mask, shape + (d,), with k True entries per vector.
 
-        The k swap targets rng.integers(j, d, size=shape) are taken first, in
-        order of j, into the output; the shuffle then runs on row blocks of
-        one reused (rows, d) index table of DRAW_BUFFER_BYTES.
+        Swap j moves into position j the coordinate at position r_j =
+        rng.integers(j, d, size=shape).  That coordinate is r_j itself unless an
+        earlier swap i with r_i = r_j moved coordinate i there, so walking
+        i = j-1 down to 0 finds it without a table of positions.
         """
         self._check(d)
-        m = math.prod(shape)
-        out = np.empty((m, self.k), dtype=np.int64)
+        keep = np.zeros(shape + (d,), dtype=bool)
+        rows = keep.reshape(-1, d)
+        all_rows, swaps = np.arange(len(rows)), []
         for j in range(self.k):
-            out[:, j] = rng.integers(j, d, size=shape).reshape(m)
-        table = np.empty((max(1, DRAW_BUFFER_BYTES // (8 * d)), d), dtype=np.int64)
-        all_rows = np.arange(len(table))
-        for start in range(0, m, len(table)):
-            block = out[start : start + len(table)]
-            idx, rows = table[: len(block)], all_rows[: len(block)]
-            idx[:] = np.arange(d)
-            for j, r in enumerate(block.T):
-                idx[rows, j], idx[rows, r] = idx[rows, r], idx[rows, j]
-            block[:] = idx[:, : self.k]
-        return out.reshape(shape + (self.k,))
+            swaps.append(rng.integers(j, d, size=shape).reshape(-1))
+            kept = swaps[j].copy()
+            for i in range(j - 1, -1, -1):
+                kept[kept == swaps[i]] = i
+            rows[all_rows, kept] = True
+        return keep
 
     def apply(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        d = X.shape[-1]
-        lead = np.broadcast_shapes(X.shape[:-1], draws.shape[:-1])
-        X, keep = np.broadcast_to(X, lead + (d,)), np.broadcast_to(draws, lead + (self.k,))
-        out = np.zeros(lead + (d,))
-        np.put_along_axis(out, keep, np.take_along_axis(X, keep, axis=-1) * (d / self.k), axis=-1)
-        return out
+        """mask * (X d/k): a dropped coordinate is 0.0 times x d/k, so -0.0 where x < 0.
+
+        Where x d/k is inf or NaN (only after a gradient has overflowed) a
+        dropped coordinate is NaN, not 0, and numpy warns outside the kernel's errstate.
+        """
+        return np.multiply(draws, X * (X.shape[-1] / self.k))
 
     def keep_scale(self, d: int) -> tuple[float, float]:
         """Each coordinate is in the k-subset with probability k/d, by symmetry."""

@@ -175,6 +175,13 @@ class ExperimentConfig:
         # a start whose distance overflows is reported by the run as a TrajectoryError
         with np.errstate(over="ignore", invalid="ignore"):
             state0 = self.estimator.init_state(self.problem, constants, x0)
+            diff0 = x0 - constants.x_star
+            dist0 = float(diff0 @ diff0)
+        if math.isfinite(dist0) and not math.isfinite(state0.sigma_sq):
+            raise ValueError(
+                f"sigma0^2 = {state0.sigma_sq:g} at x0 is not finite while ||x0 - x*||^2 = {dist0:g} is, "
+                "so the bound has no V0"
+            )
 
         stride = max(1, self.steps // 1000) if self.record_every == "auto" else int(self.record_every)
         ks = list(range(0, self.steps + 1, stride))

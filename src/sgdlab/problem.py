@@ -156,6 +156,7 @@ class QuadraticSum(FiniteSumProblem):
         return np.linalg.eigvalsh(self.A)[:, -1], float(evals[-1]), float(evals[0]), x_star, direction
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing scale gives a ProblemError, not warnings
     def generate(
         cls, n: int, d: int, *, eig_lo: float = 1.0, eig_hi: float = 3.0, shift_scale: float = 1.0, seed: int = 0
     ) -> QuadraticSum:
@@ -239,6 +240,7 @@ class LogisticSum(FiniteSumProblem):
         return L_i, L, self.ridge, _logistic_optimum(self), None
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing scale gives a ProblemError, not warnings
     def generate(cls, n: int, d: int, *, ridge: float = 0.1, feature_scale: float = 1.0, seed: int = 0) -> LogisticSum:
         """Seeded random logistic problem with planted labels."""
         _check_generator(n, d, seed)
@@ -302,6 +304,7 @@ def _logistic_optimum(problem: LogisticSum) -> np.ndarray:
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a constant or x* that overflows fails the certificate
 def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     """Certify L, mu, per-component L_i, L_max, and the optimum of a problem.
 
@@ -314,8 +317,7 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
     L_max = float(np.max(L_i))
     grads_at_star = problem.component_grads(x_star)
     grad_norm = float(np.linalg.norm(grads_at_star.sum(axis=0) / problem.n))
-    with np.errstate(over="ignore"):  # an x* whose norm overflows float64 cannot be certified
-        norm_star = float(np.linalg.norm(x_star))
+    norm_star = float(np.linalg.norm(x_star))
     if not grad_norm <= OPT_GRAD_RTOL * max(1.0, norm_star) < math.inf:
         raise ProblemError(f"optimum certificate failed: ||grad f(x*)|| = {grad_norm:g}, ||x*|| = {norm_star:g}")
     sigma_star_sq = float(np.mean(np.sum(grads_at_star**2, axis=1)))
@@ -335,6 +337,9 @@ def compute_constants(problem: FiniteSumProblem) -> ProblemConstants:
 def _check_generator(n: int, d: int, seed: int) -> None:
     if n < 1 or d < 1:
         raise ProblemError("need n >= 1 and d >= 1")
+    for key, size in (("n", n), ("d", d)):
+        if size > 2**62:  # far above any size that fits in memory, and below numpy's index range
+            raise ProblemError(f"{key} must be <= 2**62, got {size}")
     if seed < 0:
         raise ProblemError(f"seed must be a non-negative integer, got {seed}")
 

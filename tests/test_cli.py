@@ -859,6 +859,70 @@ def test_a_config_too_large_for_memory_is_a_one_line_error(tmp_path, problem, ru
     _assert_one_line_error(proc, "error: out of memory: Unable to allocate")
 
 
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@pytest.mark.parametrize(
+    "key, size", [("d", 2**63 - 1), ("d", 2**63), ("n", 2**63)], ids=["d-2^63-1", "d-2^63", "n-2^63"]
+)
+def test_a_generated_size_above_2_62_is_a_one_line_error_naming_the_key(tmp_path, capsys, family, key, size):
+    sizes = {"n": 2, "d": 2, key: size}
+    problem = f"family = {family}\nn = {sizes['n']}\nd = {sizes['d']}\nseed = 0"
+    cfg = write(tmp_path, f"[problem]\n{problem}\n[estimator]\nkind = gd\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: [problem] {key} must be <= 2**62, got {size}\n"
+
+
+@pytest.mark.parametrize(
+    "problem, text",
+    [
+        ("family = quadratic\nshift_scale = 1e300", "optimum certificate failed"),
+        ("family = quadratic\nshift_scale = 1.7976931348623157e308", "must be finite"),
+        ("family = logistic\nfeature_scale = 1e300", "optimum certificate failed"),
+    ],
+    ids=["quadratic-norm", "quadratic-offsets", "logistic-newton"],
+)
+def test_an_overflowing_generated_problem_prints_only_its_error_line(tmp_path, capsys, problem, text):
+    cfg = write(tmp_path, f"[problem]\n{problem}\nn = 3\nd = 2\nseed = 0\n[estimator]\nkind = sgd\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning before the error line fails the test
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and text in err
+
+
+SIGMA0_OVERFLOW = """
+[problem]
+family = quadratic
+n = 2
+d = 3
+seed = 0
+eig_hi = 1e300
+shift_scale = 3
+
+[estimator]
+kind = lsvrg
+p = 0.2
+
+[run]
+steps = 3
+trials = 2
+record_every = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "command", [["run"], ["verify"], ["sweep", "--gammas", "1e-302"]], ids=["run", "verify", "sweep"]
+)
+def test_an_overflowing_sigma0_at_a_finite_start_is_a_one_line_error(tmp_path, monkeypatch, capsys, command):
+    """sigma0^2 = inf and gamma^2 = 0 would make V0 = 0 * inf: resolve rejects it before any run."""
+    cfg = write(tmp_path, SIGMA0_OVERFLOW)
+    monkeypatch.chdir(tmp_path)  # where run and sweep would write their outputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command[0], "--config", cfg, "--quiet", *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: sigma0^2 = inf at x0 is not finite")
+
+
 BOUND_FOUND_REASON = (
     "verify_bound's statistical slack fails sound runs that sit on their bound (ROADMAP items 3 and 4)"
 )

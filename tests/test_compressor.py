@@ -50,12 +50,13 @@ def test_bernoulli_keep_all_is_degenerate():
         np.testing.assert_array_equal(row, x)
 
 
-def test_bernoulli_drops_a_coordinate_as_a_signed_zero():
-    """apply multiplies x/q by its mask: a dropped x < 0 is -0.0, a dropped non-finite x/q is NaN."""
+@pytest.mark.parametrize("comp, scale", [(BernoulliScale(q=0.5), 2.0), (RandK(k=1), 4.0)], ids=["bernoulli", "rand_k"])
+def test_a_mask_drops_a_coordinate_as_a_signed_zero(comp, scale):
+    """apply multiplies the scaled x by its mask: a dropped x < 0 is -0.0, a dropped non-finite scaled x is NaN."""
     keep = np.array([True, False, False, False])
     with np.errstate(invalid="ignore"):
-        out = BernoulliScale(q=0.5).apply(np.array([-1.0, -1.0, 2.0, np.inf]), keep)
-    np.testing.assert_array_equal(out[:3], [-2.0, 0.0, 0.0])
+        out = comp.apply(np.array([-1.0, -1.0, 2.0, np.inf]), keep)
+    np.testing.assert_array_equal(out[:3], [-scale, 0.0, 0.0])
     assert np.signbit(out[:3]).tolist() == [True, True, False]
     assert np.isnan(out[3])
 
@@ -163,7 +164,7 @@ def test_bernoulli_draw_fills_blocks_on_the_one_shot_stream(shape, d):
 
 
 def _randk_one_table(k, rng, shape, d):
-    """The rand_k draw as one (m, d) index table shuffled in place, the reference for the blocked draw."""
+    """The rand_k kept indices from one (m, d) index table shuffled in place, the reference for the mask draw."""
     m = math.prod(shape)
     idx = np.tile(np.arange(d), (m, 1))
     rows = np.arange(m)
@@ -186,22 +187,53 @@ def _randk_one_table(k, rng, shape, d):
         ((2, 3), 2 * DRAW_BUFFER_BYTES // 8, 2),
     ],
 )
-def test_randk_draw_in_blocks_keeps_the_one_table_indices(shape, d, k):
+def test_randk_draw_keeps_the_one_table_indices(shape, d, k):
     comp = RandK(k=k)
-    blocked, one_table = np.random.default_rng([9, d]), np.random.default_rng([9, d])
-    np.testing.assert_array_equal(comp.draw(blocked, shape, d), _randk_one_table(k, one_table, shape, d))
-    assert blocked.random() == one_table.random()  # both streams stop at the same place
+    masked, one_table = np.random.default_rng([9, d]), np.random.default_rng([9, d])
+    keep = np.zeros(shape + (d,), dtype=bool)
+    np.put_along_axis(keep, _randk_one_table(k, one_table, shape, d), True, axis=-1)
+    mask = comp.draw(masked, shape, d)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(mask, keep)
+    assert masked.random() == one_table.random()  # both streams stop at the same place
 
 
 def test_randk_draw_holds_little_beyond_its_output():
-    """10^5 draws of 5 of 30 coordinates hold the (m, k) indices, one swap array and one block table."""
+    """10^5 draws of 5 of 30 coordinates hold the mask, the k swap arrays and a few arrays of one entry per draw.
+
+    An (m, d) index table alone would take 8 d = 240 bytes per draw, against the d + 8 (k + 4) = 102 allowed.
+    """
+    k, m, d = 5, 10**5, 30
     tracemalloc.start()
     try:
-        out = RandK(k=5).draw(np.random.default_rng(0), (10**5,), 30)
+        out = RandK(k=k).draw(np.random.default_rng(0), (m,), d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * out.nbytes, f"peak {peak / 2**20:.1f} MiB for {out.nbytes / 2**20:.1f} MiB of output"
+    assert peak < out.nbytes + 8 * (k + 4) * m, f"peak {peak / 2**20:.1f} MiB for {out.nbytes / 2**20:.1f} MiB of mask"
+
+
+def _randk_apply_by_index(X, keep, k):
+    """rand_k's apply on kept indices: gather the kept coordinates, scale them by d/k and scatter them into zeros."""
+    d = X.shape[-1]
+    lead = np.broadcast_shapes(X.shape[:-1], keep.shape[:-1])
+    X, keep = np.broadcast_to(X, lead + (d,)), np.broadcast_to(keep, lead + (k,))
+    out = np.zeros(lead + (d,))
+    np.put_along_axis(out, keep, np.take_along_axis(X, keep, axis=-1) * (d / k), axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (3, 2), (7, 3), (20, 20)])
+def test_randk_apply_by_mask_equals_the_gather_and_scatter(d, k):
+    """Value for value, with -0.0 == 0.0: X (d,) with one draw, X (m, d), and a (1, d) X against (m, n) masks."""
+    m, n = 11, 4
+    data, comp = np.random.default_rng([5, d, k]), RandK(k=k)
+    for X_shape, shape in [((d,), ()), ((m, d), (m,)), ((1, d), (m, n))]:
+        X = data.standard_normal(X_shape)
+        seed = [6, d, len(shape)]
+        masks = comp.draw(np.random.default_rng(seed), shape, d)
+        keep = _randk_one_table(k, np.random.default_rng(seed), shape, d)
+        np.testing.assert_array_equal(comp.apply(X, masks), _randk_apply_by_index(X, keep, k))
 
 
 def test_configuration_errors():

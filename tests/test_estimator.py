@@ -252,21 +252,21 @@ def test_lsvrg_randomness_order_index_then_coin():
 
 def test_diana_rand_k_stream_layout():
     # stream layout 2: swap j of the partial Fisher-Yates shuffle draws
-    # integers(j, d) for every (step, worker) of the chunk at once
+    # integers(j, d) for every (step, worker) of the chunk at once; the draw is the keep mask
     k, d, n = 2, PROBLEM.d, PROBLEM.n
     est = DIANA(compressor=RandK(k=k))
     alpha = est.resolved_alpha(d)
 
     def chunk(shadow):
         swaps = [shadow.integers(j, d, size=(STREAM_CHUNK, n)) for j in range(k)]
-        keep = np.empty((STREAM_CHUNK, n, k), dtype=np.int64)
+        keep = np.zeros((STREAM_CHUNK, n, d), dtype=bool)
         for t in range(STREAM_CHUNK):
             for i in range(n):
                 perm = list(range(d))
                 for j in range(k):
                     r = swaps[j][t, i]
                     perm[j], perm[r] = perm[r], perm[j]
-                keep[t, i] = perm[:k]
+                keep[t, i, perm[:k]] = True
         return (keep,)
 
     def check_step(draws, x, before, g, after):

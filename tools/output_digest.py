@@ -10,18 +10,19 @@ so it runs against an older src/ as well, and a warning on a digested path
 fails it.  Its first lines are the header: `stream_layout N` as the run
 manifests record it ([tool] stream) and `version V` ([tool] version).
 Then, for every estimator kind (cdgd and diana with a rand_k and a bernoulli
-compressor) on a generated quadratic and a generated logistic problem, one
-line `<kind>/<family> trajectory.csv <sha256>` and one `... manifest
-<sha256>` from `sgdlab run`, one `sweep/<family> sweep.csv <sha256>` per
-family from `sgdlab sweep` over a grid with an inadmissible entry, and one
-`explicit-lsvrg/<family> ...` pair per family from `sgdlab run` on a problem
-given as explicit JSON arrays (`matrices`/`offsets`, `features`/`labels`/
-`ridge`), which this tool generates with numpy.  The runs take 300 steps,
-more than one draw chunk, and record every step.  One more pair,
-`every-run-key/quadratic ...`, runs diana with rand_k (k = 1) on the
-generated quadratic with every [run] key set, none of them to "auto" or
-its default, so the config reader and the manifest writer of each key are
-digested too.  Last, one `verify/<case>
+compressor, and cdgd with rand_k keeping 3 of 4 coordinates, where a kept
+coordinate can follow a chain of two swaps) on a generated quadratic and a
+generated logistic problem, one line `<kind>/<family> trajectory.csv
+<sha256>` and one `... manifest <sha256>` from `sgdlab run`, one
+`sweep/<family> sweep.csv <sha256>` per family from `sgdlab sweep` over a
+grid with an inadmissible entry, and one `explicit-lsvrg/<family> ...` pair
+per family from `sgdlab run` on a problem given as explicit JSON arrays
+(`matrices`/`offsets`, `features`/`labels`/`ridge`), which this tool
+generates with numpy.  The runs take 300 steps, more than one draw chunk,
+and record every step.  One more pair, `every-run-key/quadratic ...`, runs
+diana with rand_k (k = 1) on the generated quadratic with every [run] key
+set, none of them to "auto" or its default, so the config reader and the
+manifest writer of each key are digested too.  Last, one `verify/<case>
 stdout <sha256>` line per `sgdlab verify` case: DIANA with a Bernoulli
 compressor (q = 0.25, n = 10) at d = 20, where the assumption and compressor
 checks sample, and at d = 12, where they are exact, and lsvrg on each family.
@@ -58,6 +59,7 @@ ESTIMATORS = {
     "sgd_star": {"kind": "sgd_star"},
     "lsvrg": {"kind": "lsvrg", "p": "0.2"},
     "cdgd-rand_k": {"kind": "cdgd", "compressor": "rand_k", "k": "2"},
+    "cdgd-rand_k-3": {"kind": "cdgd", "compressor": "rand_k", "k": "3"},
     "cdgd-bernoulli": {"kind": "cdgd", "compressor": "bernoulli", "q": "0.5"},
     "diana-rand_k": {"kind": "diana", "compressor": "rand_k", "k": "2"},
     "diana-bernoulli": {"kind": "diana", "compressor": "bernoulli", "q": "0.5"},
